@@ -7,6 +7,7 @@ package instcmp_test
 // story end to end. cmd/experiments runs the same code at full scale.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -50,7 +51,7 @@ func benchScore(b *testing.B, name datasets.Name, rows int, noise generator.Nois
 	var sig *signature.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sig, err = signature.Run(sc.Source, sc.Target, mode, signature.Options{Lambda: 0.5})
+		sig, err = signature.Run(context.Background(), sc.Source, sc.Target, mode, signature.Options{Lambda: 0.5})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -92,7 +93,7 @@ func BenchmarkTable2Exact(b *testing.B) {
 	noise.Seed = benchSeed
 	sc := generator.Make(base, noise)
 	for i := 0; i < b.N; i++ {
-		res, err := exact.Run(sc.Source, sc.Target, match.OneToOne,
+		res, err := exact.Run(context.Background(), sc.Source, sc.Target, match.OneToOne,
 			exact.Options{Lambda: 0.5, Timeout: 2 * time.Minute})
 		if err != nil {
 			b.Fatal(err)
@@ -135,7 +136,7 @@ func BenchmarkExactParallel(b *testing.B) {
 		b.Run(v.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := exact.Run(sc.Source, sc.Target, match.ManyToMany, v.opt)
+				res, err := exact.Run(context.Background(), sc.Source, sc.Target, match.ManyToMany, v.opt)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -301,7 +302,7 @@ func BenchmarkSignatureScaling(b *testing.B) {
 				sc := generator.Make(base, noise)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := signature.Run(sc.Source, sc.Target, match.OneToOne,
+					if _, err := signature.Run(context.Background(), sc.Source, sc.Target, match.OneToOne,
 						signature.Options{Lambda: 0.5, Workers: workers}); err != nil {
 						b.Fatal(err)
 					}
@@ -327,7 +328,7 @@ func BenchmarkSignatureParallel(b *testing.B) {
 	noise := experiments.Table2Noise
 	noise.Seed = benchSeed
 	sc := generator.Make(base, noise)
-	seq, err := signature.Run(sc.Source, sc.Target, match.OneToOne, signature.Options{Lambda: 0.5, Workers: 1})
+	seq, err := signature.Run(context.Background(), sc.Source, sc.Target, match.OneToOne, signature.Options{Lambda: 0.5, Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -336,7 +337,7 @@ func BenchmarkSignatureParallel(b *testing.B) {
 			b.ReportAllocs()
 			var res *signature.Result
 			for i := 0; i < b.N; i++ {
-				res, err = signature.Run(sc.Source, sc.Target, match.OneToOne,
+				res, err = signature.Run(context.Background(), sc.Source, sc.Target, match.OneToOne,
 					signature.Options{Lambda: 0.5, Workers: workers})
 				if err != nil {
 					b.Fatal(err)
@@ -369,7 +370,7 @@ func BenchmarkExactVsSignatureCrossover(b *testing.B) {
 			var nodes int64
 			exhausted := true
 			for i := 0; i < b.N; i++ {
-				res, err := exact.Run(sc.Source, sc.Target, match.ManyToMany,
+				res, err := exact.Run(context.Background(), sc.Source, sc.Target, match.ManyToMany,
 					exact.Options{Lambda: 0.5, Timeout: 20 * time.Second})
 				if err != nil {
 					b.Fatal(err)
@@ -383,7 +384,7 @@ func BenchmarkExactVsSignatureCrossover(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("signature/rows-%d", rows), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := signature.Run(sc.Source, sc.Target, match.ManyToMany,
+				if _, err := signature.Run(context.Background(), sc.Source, sc.Target, match.ManyToMany,
 					signature.Options{Lambda: 0.5}); err != nil {
 					b.Fatal(err)
 				}
@@ -417,7 +418,7 @@ func BenchmarkSignatureDesignAblations(b *testing.B) {
 		b.Run(v.name, func(b *testing.B) {
 			var res *signature.Result
 			for i := 0; i < b.N; i++ {
-				res, err = signature.Run(sc.Source, sc.Target, match.ManyToMany, v.opt)
+				res, err = signature.Run(context.Background(), sc.Source, sc.Target, match.ManyToMany, v.opt)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -468,6 +469,50 @@ func BenchmarkPreparedCompare(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkSignatureSmall measures prepared signature compares at the
+// sizes below the pipeline's row gate, where every phase runs inline: the
+// shapes of lake-ranking candidates, service compares, and the exact
+// search's warm start. Doct runs 1-to-1 with Table 2 noise, Bike n-to-m
+// with Table 3 noise.
+func BenchmarkSignatureSmall(b *testing.B) {
+	for _, v := range []struct {
+		name  datasets.Name
+		noise generator.Noise
+		mode  instcmp.Mode
+	}{
+		{datasets.Doct, experiments.Table2Noise, instcmp.OneToOne},
+		{datasets.Bike, experiments.Table3Noise, instcmp.ManyToMany},
+	} {
+		for _, rows := range []int{24, 40, 100, 500} {
+			b.Run(fmt.Sprintf("%s/rows-%d", v.name, rows), func(b *testing.B) {
+				base, err := datasets.Generate(v.name, rows, benchSeed)
+				if err != nil {
+					b.Fatal(err)
+				}
+				noise := v.noise
+				noise.Seed = benchSeed
+				sc := generator.Make(base, noise)
+				lp, err := instcmp.Prepare(sc.Source)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rp, err := instcmp.Prepare(sc.Target)
+				if err != nil {
+					b.Fatal(err)
+				}
+				opt := &instcmp.Options{Mode: v.mode, Algorithm: instcmp.AlgoSignature}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := instcmp.ComparePrepared(lp, rp, opt); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }
 
 // BenchmarkCompareAPI measures the public API end to end, normalization

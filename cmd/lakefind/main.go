@@ -212,7 +212,7 @@ func rankFullScan(ctx context.Context, example *instcmp.Instance, dir string, op
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("no datasets found in %s", dir)
 	}
-	return lake.RankContext(ctx, example, cands, opt)
+	return lake.Rank(ctx, example, cands, opt)
 }
 
 // rankThroughIndex probes the persisted sketch index before touching any
@@ -235,7 +235,7 @@ func rankThroughIndex(ctx context.Context, example *instcmp.Instance, dir string
 		if len(cands) == 0 {
 			return nil, fmt.Errorf("no datasets found in %s", dir)
 		}
-		return lake.RankContext(ctx, example, cands, opt)
+		return lake.Rank(ctx, example, cands, opt)
 	}
 
 	prep, err := instcmp.Prepare(example)
@@ -290,7 +290,7 @@ func rankThroughIndex(ctx context.Context, example *instcmp.Instance, dir string
 		}
 	}
 	cands := loadLake(dir, shortNames, anon, out)
-	res, err := lake.RankContext(ctx, example, cands, opt)
+	res, err := lake.Rank(ctx, example, cands, opt)
 	if err != nil {
 		return nil, err
 	}

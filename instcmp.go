@@ -133,11 +133,13 @@ type Options struct {
 	// 0 = GOMAXPROCS, 1 = single-threaded. The score is identical for
 	// every worker count; only wall-clock time changes.
 	ExactWorkers int
-	// SigWorkers is the number of parallel pipeline workers inside a
-	// single signature run: 0 = GOMAXPROCS, 1 = single-threaded. Workers
-	// only do read-only work and a single committer applies pairs in
-	// canonical scan order, so scores and stats are bit-identical for
-	// every worker count; only wall-clock time changes.
+	// SigWorkers is the number of pipeline workers inside a single
+	// signature run: 0 = GOMAXPROCS, 1 = every phase inline on the
+	// calling goroutine (as is any phase below the pipeline's size gate,
+	// whatever the count). Workers only do read-only work and a single
+	// committer applies pairs in canonical scan order, so scores and
+	// stats are bit-identical for every worker count; only wall-clock
+	// time changes.
 	SigWorkers int
 	// Partial enables the Sec. 6.3 partial-mapping variant of the
 	// signature algorithm.
@@ -235,12 +237,13 @@ type ComparisonStats struct {
 	ScoreAfterSig float64
 	// SigPhase and CompatPhase record signature wall-clock time per phase.
 	SigPhase, CompatPhase time.Duration
-	// SigWorkers is the signature pipeline's resolved worker count (1 for
-	// a sequential run, 0 when no signature phase ran at all).
+	// SigWorkers is the signature pipeline's resolved worker count (1 when
+	// every phase ran inline, 0 when no signature phase ran at all).
 	SigWorkers int
-	// SigParallelBlocks totals the signature pipeline's committed
-	// produce/commit units across phases (scan blocks, rescue tasks,
-	// completion blocks); 0 when the run stayed sequential.
+	// SigParallelBlocks totals the produce/commit units the signature
+	// pipeline fanned out to workers across phases (scan blocks, rescue
+	// tasks, completion blocks); 0 when every phase ran inline — at
+	// SigWorkers = 1 or below the size gate.
 	SigParallelBlocks int
 
 	// Match-construction counters (both algorithms).

@@ -277,9 +277,6 @@ type CodedIndex struct {
 	byConst []map[model.ValueID][]int32
 	byMask  map[uint64][]int32
 	masks   []uint64
-	// p is the index's own probe cursor, backing the Candidates method;
-	// concurrent probers come from NewProber.
-	p Prober
 }
 
 // NewCodedIndex builds the index over the listed row positions (nil means
@@ -291,7 +288,6 @@ func NewCodedIndex(crel *model.CodedRelation, idxs []int, in *model.Interner) *C
 		byConst: make([]map[model.ValueID][]int32, crel.Arity),
 		byMask:  map[uint64][]int32{},
 	}
-	ix.p = Prober{ix: ix, stamp: make([]int32, crel.Rows())}
 	for a := range ix.byConst {
 		ix.byConst[a] = map[model.ValueID][]int32{}
 	}
@@ -319,20 +315,12 @@ func NewCodedIndex(crel *model.CodedRelation, idxs []int, in *model.Interner) *C
 	return ix
 }
 
-// Candidates returns the positions of indexed rows compatible (t ≃ t') with
-// the probe row, whose ground mask the caller supplies (the coded relations
-// precompute it). The returned slice is reused by the index and only valid
-// until the next Candidates call. For concurrent probing use NewProber.
-func (ix *CodedIndex) Candidates(row []model.ValueID, probeMask uint64) []int {
-	return ix.p.Candidates(row, probeMask)
-}
-
 // Prober is a probe cursor over a CodedIndex: it shares the index's
 // immutable buckets but owns the per-probe scratch (the dedup stamps, the
 // pairwise union-find, the output slice), so any number of Probers may
-// probe one index concurrently — the signature algorithm's parallel
-// completion step creates one per worker. Candidate order is a function of
-// the index alone, so every prober returns identical lists for identical
+// probe one index concurrently — the signature algorithm's completion step
+// creates one per pipeline worker. Candidate order is a function of the
+// index alone, so every prober returns identical lists for identical
 // probes.
 type Prober struct {
 	ix    *CodedIndex
@@ -347,8 +335,10 @@ func (ix *CodedIndex) NewProber() *Prober {
 	return &Prober{ix: ix, stamp: make([]int32, ix.crel.Rows())}
 }
 
-// Candidates is CodedIndex.Candidates on this prober's private scratch.
-// The returned slice is reused and only valid until the prober's next call.
+// Candidates returns the positions of indexed rows compatible (t ≃ t') with
+// the probe row, whose ground mask the caller supplies (the coded relations
+// precompute it). The returned slice is reused and only valid until the
+// prober's next call.
 func (p *Prober) Candidates(row []model.ValueID, probeMask uint64) []int {
 	ix := p.ix
 	p.gen++

@@ -6,6 +6,7 @@ package exact
 // as exact < reference.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -28,7 +29,7 @@ func TestExactDominatesReferences(t *testing.T) {
 			{match.Functional, generator.Noise{CellPct: 0.10, Seed: seed}},
 		} {
 			sc := generator.Make(base, tc.noise)
-			ex, err := Run(sc.Source, sc.Target, tc.mode, Options{Lambda: 0.5, MaxNodes: 30_000_000})
+			ex, err := Run(context.Background(), sc.Source, sc.Target, tc.mode, Options{Lambda: 0.5, MaxNodes: 30_000_000})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -43,7 +44,7 @@ func TestExactDominatesReferences(t *testing.T) {
 				t.Errorf("seed %d mode %v: exhaustive exact %v below constructed match %v (bound pruned the optimum)",
 					seed, tc.mode, ex.Score, ref)
 			}
-			sig, err := signature.Run(sc.Source, sc.Target, tc.mode, signature.Options{Lambda: 0.5})
+			sig, err := signature.Run(context.Background(), sc.Source, sc.Target, tc.mode, signature.Options{Lambda: 0.5})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -31,7 +31,7 @@ func TestContextPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	res, err := RunContext(ctx, l, r, match.ManyToMany, Options{Lambda: lambda, Workers: 4})
+	res, err := Run(ctx, l, r, match.ManyToMany, Options{Lambda: lambda, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestContextCancelMidSearch(t *testing.T) {
 			cancel()
 		}()
 		start := time.Now()
-		res, err := RunContext(ctx, l, r, match.ManyToMany, Options{Lambda: lambda, Workers: workers})
+		res, err := Run(ctx, l, r, match.ManyToMany, Options{Lambda: lambda, Workers: workers})
 		cancel()
 		if err != nil {
 			t.Fatal(err)
@@ -92,7 +92,7 @@ func TestTimeoutOvershootBounded(t *testing.T) {
 	l, r := hardInstances(12)
 	const budget = 50 * time.Millisecond
 	start := time.Now()
-	res, err := RunContext(context.Background(), l, r, match.ManyToMany,
+	res, err := Run(context.Background(), l, r, match.ManyToMany,
 		Options{Lambda: lambda, Timeout: budget, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestStatsPopulated(t *testing.T) {
 	r := build([][]model.Value{{c("a"), c("b")}, {c("x"), n("V1")}})
 	// Cold run: the first leaf always improves on the empty incumbent, so
 	// Improvements must be positive (a warm-started run may start optimal).
-	res, err := Run(l, r, match.OneToOne, Options{Lambda: lambda, Workers: 1, NoWarmStart: true})
+	res, err := Run(context.Background(), l, r, match.OneToOne, Options{Lambda: lambda, Workers: 1, NoWarmStart: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestStatsPopulated(t *testing.T) {
 	if res.EnvStats.PairAttempts == 0 {
 		t.Error("EnvStats.PairAttempts = 0 after a search that adds pairs")
 	}
-	par, err := Run(l, r, match.OneToOne, Options{Lambda: lambda, Workers: 4})
+	par, err := Run(context.Background(), l, r, match.OneToOne, Options{Lambda: lambda, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ const (
 	StoppedTimeout = "timeout"
 	// StoppedNodeBudget: the Options.MaxNodes budget was exhausted.
 	StoppedNodeBudget = "node-budget"
-	// StoppedCanceled: the context passed to RunContext was canceled.
+	// StoppedCanceled: the context passed to Run or RunEnv was canceled.
 	StoppedCanceled = "canceled"
 )
 
@@ -152,42 +152,26 @@ type Result struct {
 
 // Run executes the exact algorithm. The returned environment holds the best
 // match re-applied, so callers can extract value mappings and explanations.
-func Run(left, right *model.Instance, mode match.Mode, opt Options) (*Result, error) {
-	return RunContext(context.Background(), left, right, mode, opt)
-}
-
-// RunContext is Run with a cancellation context. Cancellation is polled in
-// the node loop alongside the deadline — every soloPollInterval nodes
-// single-threaded, every nodeFlushBatch nodes per parallel worker — so a
-// canceled search returns promptly with the best incumbent found so far and
-// Result.Stopped = StoppedCanceled. The context also bounds the warm-start
-// signature run.
-func RunContext(ctx context.Context, left, right *model.Instance, mode match.Mode, opt Options) (*Result, error) {
+// Cancellation is polled in the node loop alongside the deadline — every
+// soloPollInterval nodes single-threaded, every nodeFlushBatch nodes per
+// parallel worker — so a canceled search returns promptly with the best
+// incumbent found so far and Result.Stopped = StoppedCanceled. The context
+// also bounds the warm-start signature run.
+func Run(ctx context.Context, left, right *model.Instance, mode match.Mode, opt Options) (*Result, error) {
 	env, err := match.NewEnv(left, right, mode)
 	if err != nil {
 		return nil, err
 	}
-	return RunEnvContext(ctx, env, opt)
+	return RunEnv(ctx, env, opt)
 }
 
-// RunPreparedContext is RunContext over prepared instances: the environment
-// is assembled from the two sides' resident codings (match.NewEnvPrepared)
-// instead of normalizing and interning from scratch. The search — including
-// its warm start — is bit-identical to RunContext on the same instances.
-func RunPreparedContext(ctx context.Context, left, right *match.PreparedSide, mode match.Mode, opt Options) (*Result, error) {
-	env, err := match.NewEnvPrepared(left, right, mode)
-	if err != nil {
-		return nil, err
-	}
-	return RunEnvContext(ctx, env, opt)
-}
-
-// RunEnvContext executes the exact search on a caller-supplied environment
-// whose tuple mapping must be empty. It is the engine entry point shared by
-// the one-shot and the prepared paths; the returned Result aliases env.
-func RunEnvContext(ctx context.Context, env *match.Env, opt Options) (*Result, error) {
+// RunEnv executes the exact search on a caller-built environment whose
+// tuple mapping must be empty — the one-shot Run's or the one a prepared
+// comparison assembled with match.NewEnvPrepared. The returned Result
+// aliases env.
+func RunEnv(ctx context.Context, env *match.Env, opt Options) (*Result, error) {
 	if env.NumPairs() != 0 {
-		return nil, fmt.Errorf("exact: RunEnvContext requires an empty tuple mapping, got %d pairs", env.NumPairs())
+		return nil, fmt.Errorf("exact: RunEnv requires an empty tuple mapping, got %d pairs", env.NumPairs())
 	}
 	p := newProblem(ctx, env, opt.Lambda)
 	sh := &shared{maxN: opt.MaxNodes, ctx: ctx}
@@ -347,8 +331,7 @@ type shared struct {
 	reason   atomic.Int32
 	maxN     int64
 	deadline time.Time
-	// ctx carries caller cancellation; never nil (context.Background for
-	// the ctx-less entry points).
+	// ctx carries caller cancellation.
 	ctx context.Context
 
 	// cloneStats aggregates the env counters of finished worker clones.
@@ -615,7 +598,7 @@ func optScore(lrow, rrow []model.ValueID, lmask, rmask uint64, lambda float64) f
 // structures for the environment's mode. Cancellation is polled every
 // soloPollInterval left rows — candidate generation is quadratic and can
 // dominate short deadlines. A canceled build stops enumerating but still
-// produces internally consistent (truncated) structures; RunContext never
+// produces internally consistent (truncated) structures; RunEnv never
 // searches or canonicalizes against them, because its pre-search ctx.Err()
 // check trips first.
 func newProblem(ctx context.Context, env *match.Env, lambda float64) *problem {
@@ -628,7 +611,7 @@ func newProblem(ctx context.Context, env *match.Env, lambda float64) *problem {
 build:
 	for ri := range env.LRels {
 		lcode, rcode := env.LCode[ri], env.RCode[ri]
-		ix := compat.NewCodedIndex(rcode, nil, env.In)
+		pr := compat.NewCodedIndex(rcode, nil, env.In).NewProber()
 		arity := float64(lcode.Arity)
 		for li := 0; li < lcode.Rows(); li++ {
 			if rows%soloPollInterval == 0 && ctx.Err() != nil {
@@ -636,9 +619,9 @@ build:
 			}
 			rows++
 			lrow, lmask := lcode.Row(li), lcode.Masks[li]
-			// The index reuses its candidate buffer; copy before
+			// The prober reuses its candidate buffer; copy before
 			// sorting and storing.
-			cs := append([]int(nil), ix.Candidates(lrow, lmask)...)
+			cs := append([]int(nil), pr.Candidates(lrow, lmask)...)
 			lref := match.Ref{Rel: ri, Idx: li}
 			// Order candidates by immediate affinity (shared
 			// constants first) so good solutions surface early and
@@ -717,7 +700,7 @@ func sharedConsts(a, b []model.ValueID, both uint64) int {
 // partial match it grew (any prefix of the greedy match is valid).
 func warmStart(ctx context.Context, env *match.Env, p *problem) (pairs []match.Pair, sc float64, st *signature.Stats, ok bool) {
 	m := env.Mark()
-	sig, err := signature.RunEnvContext(ctx, env, signature.Options{Lambda: p.lambda})
+	sig, err := signature.RunEnv(ctx, env, signature.Options{Lambda: p.lambda})
 	if err != nil {
 		env.Undo(m)
 		return nil, 0, nil, false

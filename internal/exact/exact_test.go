@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -82,7 +83,7 @@ func build(rows [][]model.Value) *model.Instance {
 
 func run(t *testing.T, l, r *model.Instance, mode match.Mode) *Result {
 	t.Helper()
-	res, err := Run(l, r, mode, Options{Lambda: lambda})
+	res, err := Run(context.Background(), l, r, mode, Options{Lambda: lambda})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestBudgetStopsSearch(t *testing.T) {
 	// Pin the legacy single-threaded cold-start engine: the warm start
 	// solves this degenerate instance at node 1 (every pair is perfect),
 	// and the parallel node budget is only batch-accurate.
-	res, err := Run(l, r, match.ManyToMany,
+	res, err := Run(context.Background(), l, r, match.ManyToMany,
 		Options{Lambda: lambda, MaxNodes: 50, Workers: 1, NoWarmStart: true})
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +236,7 @@ func TestTimeoutStopsSearch(t *testing.T) {
 		rows2[i] = []model.Value{n(model.Nullf("R%d", i).Raw()), n(model.Nullf("RR%d", i).Raw())}
 	}
 	start := time.Now()
-	res, err := Run(build(rows), build(rows2), match.ManyToMany,
+	res, err := Run(context.Background(), build(rows), build(rows2), match.ManyToMany,
 		Options{Lambda: lambda, Timeout: 50 * time.Millisecond, NoWarmStart: true})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -28,7 +29,7 @@ func mkExchange(key1, key2 model.Value, place model.Value) *model.Instance {
 func TestExactCrossRelationSurrogates(t *testing.T) {
 	l := mkExchange(n("N1"), n("N2"), n("N3"))
 	r := mkExchange(c("1"), c("2"), c("Rome"))
-	res, err := Run(l, r, match.OneToOne, Options{Lambda: 0.5})
+	res, err := Run(context.Background(), l, r, match.OneToOne, Options{Lambda: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestExactCrossRelationConflict(t *testing.T) {
 	r.Append("Conf", c("2"), c("SIGMOD"), c("SJ"))
 	r.Append("Paper", c("QBE"), c("9"))
 	r.Append("Paper", c("ER"), c("8"))
-	res, err := Run(l, r, match.OneToOne, Options{Lambda: 0.5})
+	res, err := Run(context.Background(), l, r, match.OneToOne, Options{Lambda: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,14 +104,14 @@ func TestSignatureLowerBoundsExactMultiRelation(t *testing.T) {
 			return in
 		}
 		l, r := mk("L"), mk("R")
-		ex, err := Run(l, r, match.ManyToMany, Options{Lambda: 0.5, MaxNodes: 2_000_000})
+		ex, err := Run(context.Background(), l, r, match.ManyToMany, Options{Lambda: 0.5, MaxNodes: 2_000_000})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ex.Exhaustive {
 			continue
 		}
-		sig, err := signature.Run(l, r, match.ManyToMany, signature.Options{Lambda: 0.5})
+		sig, err := signature.Run(context.Background(), l, r, match.ManyToMany, signature.Options{Lambda: 0.5})
 		if err != nil {
 			t.Fatal(err)
 		}

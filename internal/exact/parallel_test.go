@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"runtime"
@@ -56,7 +57,7 @@ func TestEngineVariantsBitIdentical(t *testing.T) {
 		}
 		var ref *Result
 		for vi, opt := range variants {
-			res, err := Run(l, r, mode, opt)
+			res, err := Run(context.Background(), l, r, mode, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,7 +82,7 @@ func TestEngineVariantsBitIdentical(t *testing.T) {
 func TestWarmStartSeedsIncumbent(t *testing.T) {
 	l := build([][]model.Value{{c("a"), c("b")}, {c("x"), n("N1")}})
 	r := build([][]model.Value{{c("a"), c("b")}, {c("x"), n("V1")}})
-	res, err := Run(l, r, match.OneToOne, Options{Lambda: lambda, Workers: 1})
+	res, err := Run(context.Background(), l, r, match.OneToOne, Options{Lambda: lambda, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestWarmStartSeedsIncumbent(t *testing.T) {
 	if res.Score != 1 {
 		t.Errorf("score = %v, want 1", res.Score)
 	}
-	cold, err := Run(l, r, match.OneToOne, Options{Lambda: lambda, Workers: 1, NoWarmStart: true})
+	cold, err := Run(context.Background(), l, r, match.OneToOne, Options{Lambda: lambda, Workers: 1, NoWarmStart: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestBudgetExpiredReturnsWarmMatch(t *testing.T) {
 	r.Append("Conf", n("Va"), c("VLDB"), c("1975"), c("VLDB End."))
 	r.Append("Conf", n("Vb"), c("VLDB"), c("1976"), n("Vc"))
 	r.Append("Conf", c("3"), c("ICDE"), c("1984"), c("IEEE"))
-	res, err := Run(l, r, match.OneToOne, Options{Lambda: lambda, MaxNodes: 1, Workers: 1})
+	res, err := Run(context.Background(), l, r, match.OneToOne, Options{Lambda: lambda, MaxNodes: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestBudgetExpiredReturnsWarmMatch(t *testing.T) {
 	}
 
 	// Same budget without the warm start: the old empty-mapping behavior.
-	cold, err := Run(l, r, match.OneToOne,
+	cold, err := Run(context.Background(), l, r, match.OneToOne,
 		Options{Lambda: lambda, MaxNodes: 1, Workers: 1, NoWarmStart: true})
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +163,7 @@ func TestParallelBudget(t *testing.T) {
 		rows2[i] = []model.Value{n(model.Nullf("R%d", i).Raw()), n(model.Nullf("RR%d", i).Raw())}
 	}
 	const workers, maxNodes = 4, 2000
-	res, err := Run(build(rows), build(rows2), match.ManyToMany,
+	res, err := Run(context.Background(), build(rows), build(rows2), match.ManyToMany,
 		Options{Lambda: lambda, MaxNodes: maxNodes, Workers: workers, NoWarmStart: true})
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +197,7 @@ func TestParallelTimeout(t *testing.T) {
 		rows2[i] = []model.Value{n(model.Nullf("R%d", i).Raw()), n(model.Nullf("RR%d", i).Raw())}
 	}
 	start := time.Now()
-	res, err := Run(build(rows), build(rows2), match.ManyToMany,
+	res, err := Run(context.Background(), build(rows), build(rows2), match.ManyToMany,
 		Options{Lambda: lambda, Timeout: 50 * time.Millisecond, Workers: 4, NoWarmStart: true})
 	if err != nil {
 		t.Fatal(err)
@@ -215,12 +216,12 @@ func TestSplitDepthVariantsExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	l := randomInstance(rng, "L", 4, 2, 3, 0.3)
 	r := randomInstance(rng, "R", 4, 2, 3, 0.3)
-	ref, err := Run(l, r, match.OneToOne, Options{Lambda: lambda, Workers: 1})
+	ref, err := Run(context.Background(), l, r, match.OneToOne, Options{Lambda: lambda, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, depth := range []int{1, 2, 100} {
-		res, err := Run(l, r, match.OneToOne,
+		res, err := Run(context.Background(), l, r, match.OneToOne,
 			Options{Lambda: lambda, Workers: 3, SplitDepth: depth})
 		if err != nil {
 			t.Fatal(err)

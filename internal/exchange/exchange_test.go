@@ -1,6 +1,7 @@
 package exchange
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -208,7 +209,7 @@ func TestDoctorsScenarioShape(t *testing.T) {
 	// Compare API does this automatically).
 	goldR := gold.RenameNulls("g·")
 	sigScore := func(sol *model.Instance) float64 {
-		res, err := signature.Run(sol, goldR, match.Functional, signature.Options{Lambda: 0.5})
+		res, err := signature.Run(context.Background(), sol, goldR, match.Functional, signature.Options{Lambda: 0.5})
 		if err != nil {
 			t.Fatal(err)
 		}

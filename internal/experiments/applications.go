@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"time"
 
 	"instcmp"
@@ -111,7 +112,7 @@ func RunTable6(cfg Config, sizes []int) ([]Table6Row, error) {
 				return nil, err
 			}
 			start := time.Now()
-			sig, err := signature.Run(sol, goldR, match.Functional, cfg.sigOpts())
+			sig, err := signature.Run(context.Background(), sol, goldR, match.Functional, cfg.sigOpts())
 			if err != nil {
 				return nil, err
 			}
@@ -232,7 +233,7 @@ func RunAblationNullAttrs(cfg Config, rows int) ([]NullAttrsPoint, error) {
 			return nil, err
 		}
 		start := time.Now()
-		sig, err := signature.Run(sc.Source, sc.Target, match.OneToOne, cfg.sigOpts())
+		sig, err := signature.Run(context.Background(), sc.Source, sc.Target, match.OneToOne, cfg.sigOpts())
 		if err != nil {
 			return nil, err
 		}

@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"time"
 
 	"instcmp/internal/datasets"
@@ -146,7 +147,7 @@ func scoreRow(cfg Config, name datasets.Name, rows int, noise generator.Noise, m
 	}
 
 	start := time.Now()
-	sig, err := signature.Run(sc.Source, sc.Target, mode, cfg.sigOpts())
+	sig, err := signature.Run(context.Background(), sc.Source, sc.Target, mode, cfg.sigOpts())
 	if err != nil {
 		return ScoreRow{}, err
 	}
@@ -155,7 +156,7 @@ func scoreRow(cfg Config, name datasets.Name, rows int, noise generator.Noise, m
 
 	if cfg.ExactMaxRows > 0 && rows <= cfg.ExactMaxRows {
 		start = time.Now()
-		ex, err := exact.Run(sc.Source, sc.Target, mode, cfg.exactOpts())
+		ex, err := exact.Run(context.Background(), sc.Source, sc.Target, mode, cfg.exactOpts())
 		if err != nil {
 			return ScoreRow{}, err
 		}
@@ -252,7 +253,7 @@ func RunFigure8(cfg Config, rows int, pcts []float64) ([]Fig8Point, error) {
 			if err != nil {
 				return nil, err
 			}
-			sig, err := signature.Run(sc.Source, sc.Target, match.OneToOne, cfg.sigOpts())
+			sig, err := signature.Run(context.Background(), sc.Source, sc.Target, match.OneToOne, cfg.sigOpts())
 			if err != nil {
 				return nil, err
 			}
@@ -290,7 +291,7 @@ func RunTable4(cfg Config, rows int) ([]Table4Row, error) {
 		noise := Table3Noise
 		noise.Seed = cfg.Seed
 		sc := generator.Make(base, noise)
-		sig, err := signature.Run(sc.Source, sc.Target, match.ManyToMany, cfg.sigOpts())
+		sig, err := signature.Run(context.Background(), sc.Source, sc.Target, match.ManyToMany, cfg.sigOpts())
 		if err != nil {
 			return nil, err
 		}

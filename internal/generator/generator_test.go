@@ -1,6 +1,7 @@
 package generator
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -125,7 +126,7 @@ func TestNullReuseProducesRepeatedNulls(t *testing.T) {
 // the signature algorithm must rediscover the full gold mapping.
 func TestGoldScoreMatchesSignatureOnCleanScenario(t *testing.T) {
 	s := Make(base(80), Noise{Seed: 4})
-	res, err := signature.Run(s.Source, s.Target, match.OneToOne, signature.Options{Lambda: lambda})
+	res, err := signature.Run(context.Background(), s.Source, s.Target, match.OneToOne, signature.Options{Lambda: lambda})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestSignatureCloseToGold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := signature.Run(s.Source, s.Target, match.OneToOne, signature.Options{Lambda: lambda})
+	res, err := signature.Run(context.Background(), s.Source, s.Target, match.OneToOne, signature.Options{Lambda: lambda})
 	if err != nil {
 		t.Fatal(err)
 	}

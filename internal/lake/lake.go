@@ -74,7 +74,7 @@ type Options struct {
 	// TopK is how many top candidates the caller cares about when ranking
 	// through a sketch index (RankIndexedContext); together with
 	// MinShortlist it sizes the shortlist that receives real comparisons as
-	// max(4*TopK, MinShortlist). 0 means DefaultTopK. Plain RankContext /
+	// max(4*TopK, MinShortlist). 0 means DefaultTopK. Plain Rank /
 	// RankPreparedContext ignore it (they compare everything).
 	TopK int
 	// MinShortlist floors the indexed shortlist size (0 = DefaultMinShortlist).
@@ -133,12 +133,6 @@ type PreparedCandidate struct {
 	Prepared *instcmp.Prepared
 }
 
-// Rank scores every candidate against the example and returns them ranked
-// best first (pruned and timed-out candidates last, by overlap).
-func Rank(example *instcmp.Instance, lake []Candidate, opt Options) ([]Result, error) {
-	return RankContext(context.Background(), example, lake, opt)
-}
-
 // candidateSource is the internal shape both entry points rank over: the
 // instance feeds the constant-overlap prefilter, and prepare is invoked only
 // for candidates that survive it (so pruned candidates never pay for
@@ -159,17 +153,18 @@ func singleRelName(example *instcmp.Instance) string {
 	return ""
 }
 
-// RankContext is Rank with a cancellation context covering the whole
-// ranking: when ctx is canceled the ranking aborts and returns ctx.Err().
-// Independently, Options.PerCandidateTimeout budgets each candidate's own
-// comparison; exceeding it degrades that one candidate instead of failing
-// the ranking.
+// Rank scores every candidate against the example and returns them ranked
+// best first (pruned and timed-out candidates last, by overlap). The
+// context covers the whole ranking: when ctx is canceled the ranking
+// aborts and returns ctx.Err(). Independently, Options.PerCandidateTimeout
+// budgets each candidate's own comparison; exceeding it degrades that one
+// candidate instead of failing the ranking.
 //
 // The example is prepared once (lazily, on the first candidate to survive
 // the prefilter) and that prepared form is reused across all candidates, so
 // the example's normalization and coding cost is paid once per ranking
 // rather than once per comparison.
-func RankContext(ctx context.Context, example *instcmp.Instance, lake []Candidate, opt Options) ([]Result, error) {
+func Rank(ctx context.Context, example *instcmp.Instance, lake []Candidate, opt Options) ([]Result, error) {
 	prepExample := sync.OnceValues(func() (*instcmp.Prepared, error) {
 		return instcmp.Prepare(example)
 	})
@@ -191,7 +186,7 @@ func RankContext(ctx context.Context, example *instcmp.Instance, lake []Candidat
 	return rankSources(ctx, example, prepExample, srcs, opt)
 }
 
-// RankPreparedContext is RankContext over a lake of prepared candidates and
+// RankPreparedContext is Rank over a lake of prepared candidates and
 // a prepared example: rankings are identical (same scores, same order, same
 // degradation rules), but no instance is re-normalized or re-coded —
 // single-relation name alignment is a constant-cost view over the

@@ -29,7 +29,7 @@ func TestRankExplicitZeroLambda(t *testing.T) {
 	example := smallInstance(instcmp.Const("x"), instcmp.Null("N1"))
 	cands := []Candidate{{Name: "c", Instance: smallInstance(instcmp.Const("x"), instcmp.Const("y"))}}
 
-	def, err := Rank(example, cands, Options{})
+	def, err := Rank(context.Background(), example, cands, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestRankExplicitZeroLambda(t *testing.T) {
 		t.Errorf("default-λ score = %v, want 0.75", def[0].Score)
 	}
 
-	zero, err := Rank(example, cands, Options{ExplicitZeroLambda: true})
+	zero, err := Rank(context.Background(), example, cands, Options{ExplicitZeroLambda: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestRankReturnsFirstErrorByCandidateOrder(t *testing.T) {
 		// The concurrent path schedules candidates nondeterministically;
 		// repeat to give a wrong ordering a chance to surface.
 		for iter := 0; iter < 20; iter++ {
-			_, err := Rank(example, cands, Options{Workers: workers})
+			_, err := Rank(context.Background(), example, cands, Options{Workers: workers})
 			if err == nil {
 				t.Fatalf("workers=%d: expected an error", workers)
 			}
@@ -99,7 +99,7 @@ func TestRankPerCandidateTimeoutDegrades(t *testing.T) {
 	example, cands := buildLake(t)
 	// 1ns: every per-candidate context is already expired when the
 	// comparison starts, so every unpruned candidate degrades.
-	res, err := Rank(example, cands, Options{PerCandidateTimeout: time.Nanosecond})
+	res, err := Rank(context.Background(), example, cands, Options{PerCandidateTimeout: time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +126,11 @@ func TestRankPerCandidateTimeoutDegrades(t *testing.T) {
 // the ranking identical to an unbudgeted run.
 func TestRankPerCandidateTimeoutGenerous(t *testing.T) {
 	example, cands := buildLake(t)
-	plain, err := Rank(example, cands, Options{})
+	plain, err := Rank(context.Background(), example, cands, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	budgeted, err := Rank(example, cands, Options{PerCandidateTimeout: time.Hour})
+	budgeted, err := Rank(context.Background(), example, cands, Options{PerCandidateTimeout: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestRankContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		_, err := RankContext(ctx, example, cands, Options{Workers: workers})
+		_, err := Rank(ctx, example, cands, Options{Workers: workers})
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}

@@ -42,7 +42,7 @@ func buildLake(t *testing.T) (*instcmp.Instance, []Candidate) {
 
 func TestRankOrdersByCloseness(t *testing.T) {
 	example, cands := buildLake(t)
-	res, err := Rank(example, cands, Options{})
+	res, err := Rank(context.Background(), example, cands, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestRankOrdersByCloseness(t *testing.T) {
 
 func TestRankPrefilterPrunes(t *testing.T) {
 	example, cands := buildLake(t)
-	res, err := Rank(example, cands, Options{MinValueOverlap: 0.2})
+	res, err := Rank(context.Background(), example, cands, Options{MinValueOverlap: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,12 +109,12 @@ func TestRankPrefilterPrunes(t *testing.T) {
 // count.
 func TestRankParallelMatchesSequential(t *testing.T) {
 	example, cands := buildLake(t)
-	seq, err := Rank(example, cands, Options{})
+	seq, err := Rank(context.Background(), example, cands, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, runtime.GOMAXPROCS(0), 16} {
-		par, err := Rank(example, cands, Options{Workers: workers})
+		par, err := Rank(context.Background(), example, cands, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func BenchmarkRank(b *testing.B) {
 	for name, workers := range map[string]int{"workers=1": 1, "workers=max": runtime.GOMAXPROCS(0)} {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Rank(base, cands, Options{Workers: workers}); err != nil {
+				if _, err := Rank(context.Background(), base, cands, Options{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -155,7 +155,7 @@ func BenchmarkRank(b *testing.B) {
 
 func TestRankEmptyLake(t *testing.T) {
 	example, _ := buildLake(t)
-	res, err := Rank(example, nil, Options{})
+	res, err := Rank(context.Background(), example, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestRankSchemaMismatchHandledByAlignment(t *testing.T) {
 	example, cands := buildLake(t)
 	for _, r := range cands {
 		if r.Name == "column-dropped" {
-			res, err := Rank(example, []Candidate{r}, Options{})
+			res, err := Rank(context.Background(), example, []Candidate{r}, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,11 +181,11 @@ func TestRankSchemaMismatchHandledByAlignment(t *testing.T) {
 
 // TestRankPreparedMatchesRankContext pins the resident-registry path: a
 // ranking over pre-prepared instances must be identical (names, scores,
-// overlaps, prune and timeout decisions, order) to the one-shot Rank over
-// the same raw instances.
+// overlaps, prune and timeout decisions, order) to Rank over the same raw
+// instances.
 func TestRankPreparedMatchesRankContext(t *testing.T) {
 	example, cands := buildLake(t)
-	oneShot, err := Rank(example, cands, Options{})
+	oneShot, err := Rank(context.Background(), example, cands, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func BenchmarkRankPrepared(b *testing.B) {
 	b.Run("oneshot", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Rank(base, cands, Options{}); err != nil {
+			if _, err := Rank(context.Background(), base, cands, Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}

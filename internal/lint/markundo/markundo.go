@@ -455,7 +455,7 @@ func (c *checker) callEffects(call *ast.CallExpr, st state) {
 		}
 	}
 	// Passing the environment itself into any call may mutate it
-	// (signature.RunEnvContext(ctx, env, ...) does exactly that).
+	// (signature.RunEnv(ctx, env, ...) does exactly that).
 	for _, arg := range call.Args {
 		if c.isMarkable(c.pass.TypeOf(arg)) {
 			dirtyEnv(st, types.ExprString(arg))

@@ -7,6 +7,7 @@ package regress
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"instcmp"
@@ -53,7 +54,7 @@ func TestSignatureGoldenScores(t *testing.T) {
 		n := tc.noise
 		n.Seed = tc.seed
 		sc := generator.Make(base, n)
-		res, err := signature.Run(sc.Source, sc.Target, tc.mode, signature.Options{Lambda: 0.5})
+		res, err := signature.Run(context.Background(), sc.Source, sc.Target, tc.mode, signature.Options{Lambda: 0.5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,11 +65,11 @@ func TestSignatureGoldenScores(t *testing.T) {
 	}
 }
 
-// TestSignatureGoldenAcrossWorkers pins the parallel signature pipeline
-// against the same goldens: Workers 1 and 4 must reproduce every score
-// bit-identically (mirroring the exact engine's worker pins). The golden
-// instances sit below the pipeline's row gate, so this guards the
-// option-plumbing and the always-sharded sigMap; the gate-crossing case is
+// TestSignatureGoldenAcrossWorkers pins the signature pipeline against the
+// same goldens: Workers 1 and 4 must reproduce every score bit-identically
+// (mirroring the exact engine's worker pins). The golden instances sit
+// below the pipeline's row gate, so every phase runs inline and this
+// guards the option plumbing; the gate-crossing case is
 // TestSignatureLargeInstanceWorkerInvariance below.
 func TestSignatureGoldenAcrossWorkers(t *testing.T) {
 	for _, tc := range goldenSignature {
@@ -80,7 +81,7 @@ func TestSignatureGoldenAcrossWorkers(t *testing.T) {
 		n.Seed = tc.seed
 		sc := generator.Make(base, n)
 		for _, workers := range []int{1, 4} {
-			res, err := signature.Run(sc.Source, sc.Target, tc.mode, signature.Options{Lambda: 0.5, Workers: workers})
+			res, err := signature.Run(context.Background(), sc.Source, sc.Target, tc.mode, signature.Options{Lambda: 0.5, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,16 +94,25 @@ func TestSignatureGoldenAcrossWorkers(t *testing.T) {
 }
 
 // TestSignatureLargeInstanceWorkerInvariance crosses the pipeline's
-// parallel gate (minParallelRows) with a 2000-row Table-2-shaped instance
+// fan-out gate (minParallelRows) with a 2000-row Table-2-shaped instance
 // and pins SigWorkers 1 and 4 against each other through the public API:
 // score, pair count, and signature stats must agree bit-for-bit, and the
-// parallel run must actually have committed pipeline blocks.
+// fanned-out run must actually have committed pipeline blocks. The
+// SigWorkers=1 run is also pinned to the outcome recorded from the
+// earlier sequential phase implementations.
 func TestSignatureLargeInstanceWorkerInvariance(t *testing.T) {
 	base, err := datasets.Generate(datasets.Doct, 2000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc := generator.Make(base, generator.Noise{CellPct: 0.05, NullReuse: 0.3, Seed: 1})
+	const (
+		wantScore    = 0x3fe88d2ceb622ad4 // Float64bits of score and ScoreAfterSig
+		wantPairs    = 1576               // all of them signature matches
+		wantAttempts = 5686
+		wantRejects  = 3766
+		wantEvals    = 5072
+	)
 	var ref *instcmp.Result
 	for _, workers := range []int{1, 4} {
 		res, err := instcmp.Compare(sc.Source, sc.Target, &instcmp.Options{
@@ -120,12 +130,18 @@ func TestSignatureLargeInstanceWorkerInvariance(t *testing.T) {
 		if workers == 1 {
 			ref = res
 			if res.Stats.SigParallelBlocks != 0 {
-				t.Errorf("sequential run committed %d parallel blocks", res.Stats.SigParallelBlocks)
+				t.Errorf("inline run committed %d fanned-out blocks", res.Stats.SigParallelBlocks)
+			}
+			if math.Float64bits(res.Score) != wantScore || math.Float64bits(res.Stats.ScoreAfterSig) != wantScore ||
+				len(res.Pairs) != wantPairs || res.Stats.SigMatches != wantPairs || res.Stats.CompatMatches != 0 ||
+				res.Stats.PairAttempts != wantAttempts || res.Stats.PairRejects != wantRejects || res.Stats.ScoreEvals != wantEvals {
+				t.Errorf("SigWorkers=1: score bits %#x, %d pairs, stats %+v; pinned %#x, %d pairs, attempts/rejects/evals %d/%d/%d",
+					math.Float64bits(res.Score), len(res.Pairs), res.Stats, uint64(wantScore), wantPairs, wantAttempts, wantRejects, wantEvals)
 			}
 			continue
 		}
 		if res.Stats.SigParallelBlocks == 0 {
-			t.Errorf("SigWorkers=%d: parallel pipeline never engaged", workers)
+			t.Errorf("SigWorkers=%d: pipeline never fanned out", workers)
 		}
 		if res.Score != ref.Score {
 			t.Errorf("SigWorkers=%d: score %.17g, sequential %.17g", workers, res.Score, ref.Score)
@@ -202,7 +218,7 @@ func TestExactGoldenScores(t *testing.T) {
 		sc := generator.Make(base, generator.Noise{CellPct: 0.2, Seed: tc.seed})
 		for _, workers := range []int{1, 4} {
 			for _, noWarm := range []bool{false, true} {
-				res, err := exact.Run(sc.Source, sc.Target, match.OneToOne,
+				res, err := exact.Run(context.Background(), sc.Source, sc.Target, match.OneToOne,
 					exact.Options{Lambda: 0.5, Workers: workers, NoWarmStart: noWarm})
 				if err != nil {
 					t.Fatal(err)

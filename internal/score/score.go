@@ -94,10 +94,10 @@ func PairScoreP(e *match.Env, pair match.Pair, p Params) float64 {
 	return pairScoreRaw(e, pair, p)
 }
 
-// pairScoreRaw is PairScoreP without the stats update: the parallel
-// scoring fan-out counts its evaluations in one batch on the caller, so
-// its workers must not write the shared counter. Everything it reads (the
-// coded rows, the unifier after a Sync) is immutable during scoring.
+// pairScoreRaw is PairScoreP without the stats update: tupleScores counts
+// its evaluations in one batch, so its fan-out workers never write the
+// shared counter. Everything it reads (the coded rows, the unifier after a
+// Sync) is immutable during scoring.
 func pairScoreRaw(e *match.Env, pair match.Pair, p Params) float64 {
 	lrow, rrow := e.LeftRow(pair.L), e.RightRow(pair.R)
 	s := 0.0
@@ -107,27 +107,70 @@ func pairScoreRaw(e *match.Env, pair match.Pair, p Params) float64 {
 	return s
 }
 
-// TupleScores returns the Def. 5.2 tuple scores summed over all left tuples
-// and all right tuples: each matched tuple contributes the average pair
-// score over its image, unmatched tuples contribute 0.
-func TupleScores(e *match.Env, lambda float64) (left, right float64) {
-	return TupleScoresP(e, Params{Lambda: lambda})
+// Match returns score(M) per Def. 5.3: the tuple scores of both sides
+// normalized by size(I) + size(I'). Two empty instances score 1 (they are
+// trivially isomorphic).
+func Match(e *match.Env, lambda float64) float64 {
+	return MatchP(e, Params{Lambda: lambda})
 }
 
-// TupleScoresP is TupleScores with full scoring parameters. Accumulation is
-// indexed by flattened tuple position, and summation follows the tuple
-// mapping's insertion order, so equal matches always yield bit-identical
-// scores (no map-iteration nondeterminism).
-func TupleScoresP(e *match.Env, params Params) (left, right float64) {
-	// Pair scores are symmetric in the pair, so compute each once and
-	// credit both endpoints' averages.
+// MatchP is Match with full scoring parameters.
+func MatchP(e *match.Env, params Params) float64 {
+	return MatchPW(e, params, 1)
+}
+
+// MatchPW is MatchP with a parallel pair-scoring fan-out across workers
+// (<= 1 scores in place; see tupleScores). The result is bit-identical to
+// MatchP for every worker count.
+func MatchPW(e *match.Env, params Params, workers int) float64 {
+	den := float64(e.Left.Size() + e.Right.Size())
+	if den == 0 {
+		return 1
+	}
+	l, r := tupleScores(e, params, workers)
+	return (l + r) / den
+}
+
+// minParallelPairs gates parallel tuple scoring: below this many matched
+// pairs the fan-out costs more than the scoring it splits.
+const minParallelPairs = 2048
+
+// scoreBlockPairs is the work unit of the parallel scoring fan-out.
+const scoreBlockPairs = 512
+
+// tupleScores returns the Def. 5.2 tuple scores summed over all left tuples
+// and all right tuples: each matched tuple contributes the average pair
+// score over its image, unmatched tuples contribute 0. Pair scores are
+// symmetric in the pair, so each is computed once and credits both
+// endpoints' averages. Accumulation is indexed by flattened tuple position
+// and follows the tuple mapping's insertion order, so equal matches always
+// yield bit-identical scores (no map-iteration nondeterminism).
+//
+// With workers > 1 and at least minParallelPairs pairs, the pair scores are
+// computed up front across workers; otherwise the fold scores each pair in
+// place. Either way the fold runs in the same order, so the result is
+// bit-identical for every worker count.
+func tupleScores(e *match.Env, params Params, workers int) (left, right float64) {
+	pairs := e.Pairs()
+	var scores []float64
+	if workers > 1 && len(pairs) >= minParallelPairs {
+		scores = scorePairs(e, pairs, params, workers)
+	}
+	// One batch update instead of per-pair increments: the fan-out's
+	// workers must not write the shared counter.
+	e.Stats.ScoreEvals += int64(len(pairs))
 	lsum := make([]float64, e.NumLeftTuples())
 	rsum := make([]float64, e.NumRightTuples())
 	lcnt := make([]int32, e.NumLeftTuples())
 	rcnt := make([]int32, e.NumRightTuples())
 	var lorder, rorder []int32
-	for _, p := range e.Pairs() {
-		s := PairScoreP(e, p, params)
+	for i, p := range pairs {
+		var s float64
+		if scores != nil {
+			s = scores[i]
+		} else {
+			s = pairScoreRaw(e, p, params)
+		}
 		fl, fr := e.FlatL(p.L), e.FlatR(p.R)
 		if lcnt[fl] == 0 {
 			lorder = append(lorder, int32(fl))
@@ -149,59 +192,19 @@ func TupleScoresP(e *match.Env, params Params) (left, right float64) {
 	return left, right
 }
 
-// Match returns score(M) per Def. 5.3: the tuple scores of both sides
-// normalized by size(I) + size(I'). Two empty instances score 1 (they are
-// trivially isomorphic).
-func Match(e *match.Env, lambda float64) float64 {
-	return MatchP(e, Params{Lambda: lambda})
-}
-
-// MatchP is Match with full scoring parameters.
-func MatchP(e *match.Env, params Params) float64 {
-	return MatchPW(e, params, 1)
-}
-
-// MatchPW is MatchP with a parallel pair-scoring fan-out across workers
-// (<= 1 means sequential). Pair scores are independent of one another —
-// scoring only reads the frozen match and unifier — so workers fill a
-// per-pair score array and the fold runs in the exact sequential
-// accumulation order. The result is bit-identical to MatchP for every
-// worker count.
-func MatchPW(e *match.Env, params Params, workers int) float64 {
-	den := float64(e.Left.Size() + e.Right.Size())
-	if den == 0 {
-		return 1
-	}
-	l, r := TupleScoresPW(e, params, workers)
-	return (l + r) / den
-}
-
-// minParallelPairs gates parallel tuple scoring: below this many matched
-// pairs the fan-out costs more than the scoring it splits.
-const minParallelPairs = 2048
-
-// scoreBlockPairs is the work unit of the parallel scoring fan-out.
-const scoreBlockPairs = 512
-
-// TupleScoresPW is TupleScoresP with a parallel pair-scoring fan-out
-// across workers (<= 1 means sequential).
-func TupleScoresPW(e *match.Env, params Params, workers int) (left, right float64) {
-	pairs := e.Pairs()
-	if workers <= 1 || len(pairs) < minParallelPairs {
-		return TupleScoresP(e, params)
-	}
+// scorePairs computes every pair's score across workers. Pair scores are
+// independent of one another — scoring only reads the frozen match and
+// unifier — so workers fill disjoint blocks of the score array.
+func scorePairs(e *match.Env, pairs []match.Pair, params Params, workers int) []float64 {
 	// Grow the unifier's lazily-sized arrays up front so the workers'
 	// reads never observe a growth (comparisons never intern mid-run, so
 	// this is a no-op in practice).
 	e.U.Sync()
 	scores := make([]float64, len(pairs))
 	nBlocks := (len(pairs) + scoreBlockPairs - 1) / scoreBlockPairs
-	if workers > nBlocks {
-		workers = nBlocks
-	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(workers, nBlocks); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -218,36 +221,5 @@ func TupleScoresPW(e *match.Env, params Params, workers int) (left, right float6
 		}()
 	}
 	wg.Wait()
-	// One batch update instead of the sequential path's per-pair
-	// increments: the final counter is identical.
-	e.Stats.ScoreEvals += int64(len(pairs))
-
-	// Fold in the exact sequential accumulation order (the tuple
-	// mapping's insertion order), mirroring TupleScoresP.
-	lsum := make([]float64, e.NumLeftTuples())
-	rsum := make([]float64, e.NumRightTuples())
-	lcnt := make([]int32, e.NumLeftTuples())
-	rcnt := make([]int32, e.NumRightTuples())
-	var lorder, rorder []int32
-	for i, p := range pairs {
-		s := scores[i]
-		fl, fr := e.FlatL(p.L), e.FlatR(p.R)
-		if lcnt[fl] == 0 {
-			lorder = append(lorder, int32(fl))
-		}
-		lsum[fl] += s
-		lcnt[fl]++
-		if rcnt[fr] == 0 {
-			rorder = append(rorder, int32(fr))
-		}
-		rsum[fr] += s
-		rcnt[fr]++
-	}
-	for _, fl := range lorder {
-		left += lsum[fl] / float64(lcnt[fl])
-	}
-	for _, fr := range rorder {
-		right += rsum[fr] / float64(rcnt[fr])
-	}
-	return left, right
+	return scores
 }

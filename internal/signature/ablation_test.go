@@ -7,6 +7,7 @@ package signature
 // behaviour — documenting *why* the refinement exists.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -27,11 +28,11 @@ func TestAblationRescueRound(t *testing.T) {
 	r.AddRelation("R", "A", "B", "C")
 	r.Append("R", model.Const("k"), model.Const("x"), model.Null("V1"))
 
-	with, err := Run(l, r, match.OneToOne, Options{Lambda: 0.5})
+	with, err := Run(context.Background(), l, r, match.OneToOne, Options{Lambda: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := Run(l, r, match.OneToOne, Options{Lambda: 0.5, DisableRescue: true})
+	without, err := Run(context.Background(), l, r, match.OneToOne, Options{Lambda: 0.5, DisableRescue: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,14 +62,14 @@ func TestAblationGainGuard(t *testing.T) {
 		return in
 	}
 	l, r := mk(""), mk("r·")
-	guarded, err := Run(l, r, match.ManyToMany, Options{Lambda: 0.5})
+	guarded, err := Run(context.Background(), l, r, match.ManyToMany, Options{Lambda: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if guarded.Score != 1 {
 		t.Errorf("guarded self-comparison = %v, want 1", guarded.Score)
 	}
-	raw, err := Run(l, r, match.ManyToMany, Options{Lambda: 0.5, NoGainGuard: true})
+	raw, err := Run(context.Background(), l, r, match.ManyToMany, Options{Lambda: 0.5, NoGainGuard: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +84,11 @@ func TestAblationTwoRound(t *testing.T) {
 	base := datasets.Doctors(200, rand.New(rand.NewSource(5)))
 	for seed := int64(0); seed < 5; seed++ {
 		sc := generator.Make(base, generator.Noise{CellPct: 0.1, Seed: seed})
-		two, err := Run(sc.Source, sc.Target, match.OneToOne, Options{Lambda: 0.5})
+		two, err := Run(context.Background(), sc.Source, sc.Target, match.OneToOne, Options{Lambda: 0.5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		one, err := Run(sc.Source, sc.Target, match.OneToOne, Options{Lambda: 0.5, SingleRound: true})
+		one, err := Run(context.Background(), sc.Source, sc.Target, match.OneToOne, Options{Lambda: 0.5, SingleRound: true})
 		if err != nil {
 			t.Fatal(err)
 		}

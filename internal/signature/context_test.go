@@ -21,7 +21,7 @@ func TestRunContextCanceled(t *testing.T) {
 	l, r := build(rows), build(rows2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := RunContext(ctx, l, r, match.OneToOne, Options{Lambda: lambda})
+	res, err := Run(ctx, l, r, match.OneToOne, Options{Lambda: lambda})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestRunContextCanceled(t *testing.T) {
 
 	// The same comparison uncanceled completes with a perfect score and no
 	// Stopped reason.
-	full, err := Run(l, r, match.OneToOne, Options{Lambda: lambda})
+	full, err := Run(context.Background(), l, r, match.OneToOne, Options{Lambda: lambda})
 	if err != nil {
 		t.Fatal(err)
 	}

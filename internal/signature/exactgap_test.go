@@ -4,6 +4,7 @@
 package signature_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -47,14 +48,14 @@ func TestAgreesWithExactOnRandomSmallInstances(t *testing.T) {
 		}
 		l, r := mk("L"), mk("R")
 		mode := modes[trial%len(modes)]
-		ex, err := exact.Run(l, r, mode, exact.Options{Lambda: lambda, MaxNodes: 2_000_000})
+		ex, err := exact.Run(context.Background(), l, r, mode, exact.Options{Lambda: lambda, MaxNodes: 2_000_000})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ex.Exhaustive {
 			continue
 		}
-		sig, err := signature.Run(l, r, mode, signature.Options{Lambda: lambda})
+		sig, err := signature.Run(context.Background(), l, r, mode, signature.Options{Lambda: lambda})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,13 +1,15 @@
 package signature
 
-// Worker-invariance tests for the parallel produce/commit pipeline: the
-// whole point of the design (DESIGN.md §12) is that Workers only changes
-// wall-clock time, never the result. Scenarios are sized above
-// minParallelRows so the parallel paths genuinely engage (asserted via the
-// Stats block counters, so a silently-skipped gate fails the test).
+// Worker-invariance tests for the produce/commit pipeline: the whole point
+// of the design (DESIGN.md §12) is that Workers only changes wall-clock
+// time, never the result. Scenarios are sized above minParallelRows so the
+// phases genuinely fan out (asserted via the Stats block counters, so a
+// silently-skipped gate fails the test), and their outcomes are pinned to
+// the values the earlier sequential phase implementations produced.
 
 import (
 	"context"
+	"math"
 	"slices"
 	"testing"
 	"time"
@@ -19,15 +21,19 @@ import (
 
 // TestRunBlocksOrderedCommit pins the pipeline helper itself: every block
 // is produced exactly once, committed exactly once, and committed in
-// ascending block order regardless of worker count.
+// ascending block order regardless of worker count; only fanned-out blocks
+// are counted. A second produce appends into the recycled payload, as the
+// signature phases do: commit must see exactly its own block's data, at
+// one worker (where the payload really is recycled) and at several.
 func TestRunBlocksOrderedCommit(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8} {
 		const n = 97
 		produced := make([]int, n)
 		var committed []int
-		runBlocks(workers, n,
+		var spare int
+		fanned := runBlocks(workers, n, &spare,
 			func() int { return 0 },
-			func(state int, b int) int {
+			func(state, _ int, b int) int {
 				// Skew per-block work so completion order differs from
 				// block order.
 				x := state
@@ -51,11 +57,51 @@ func TestRunBlocksOrderedCommit(t *testing.T) {
 		if !slices.IsSorted(committed) || len(committed) != n {
 			t.Errorf("workers=%d: committed %d blocks, order sorted=%v", workers, len(committed), slices.IsSorted(committed))
 		}
+		want := n
+		if workers == 1 {
+			want = 0
+		}
+		if fanned != want {
+			t.Errorf("workers=%d: runBlocks reported %d fanned-out blocks, want %d", workers, fanned, want)
+		}
+
+		// Block b's payload holds b%5+1 copies of b.
+		var buf []int
+		runBlocks(workers, n, &buf, noState,
+			func(_ struct{}, p []int, b int) []int {
+				p = p[:0]
+				for i := 0; i <= b%5; i++ {
+					p = append(p, b)
+				}
+				return p
+			},
+			func(b int, p []int) {
+				if len(p) != b%5+1 {
+					t.Fatalf("workers=%d: block %d committed %d items, want %d", workers, b, len(p), b%5+1)
+				}
+				for _, v := range p {
+					if v != b {
+						t.Fatalf("workers=%d: block %d committed another block's item %d", workers, b, v)
+					}
+				}
+			})
+		if workers == 1 && (len(buf) != (n-1)%5+1 || buf[0] != n-1) {
+			t.Errorf("workers=1: spare holds %v, want the last block's payload", buf)
+		}
 	}
 }
 
+// pinnedRun is a run's observable outcome, pinned bit-for-bit: scores as
+// math.Float64bits.
+type pinnedRun struct {
+	score, afterSig           uint64
+	pairs                     int
+	sigMatches, compatMatches int
+	envStats                  match.EnvStats
+}
+
 // invarianceScenarios are Table-2- and Table-3-shaped workloads large
-// enough to cross the parallel gates, plus a rescue-heavy and a
+// enough to cross the fan-out gates, plus a rescue-heavy and a
 // partial-mode variant.
 var invarianceScenarios = []struct {
 	label string
@@ -65,9 +111,12 @@ var invarianceScenarios = []struct {
 	mode  match.Mode
 	opt   Options
 	// wantCompleteBlocks / wantRescueTasks assert that the respective
-	// parallel phase actually ran for Workers > 1.
+	// phase actually fanned out for Workers > 1.
 	wantCompleteBlocks bool
 	wantRescueTasks    bool
+	// want pins the outcome recorded from the separate sequential phase
+	// implementations the pipeline replaced.
+	want pinnedRun
 }{
 	{
 		label: "table2-doct",
@@ -75,6 +124,7 @@ var invarianceScenarios = []struct {
 		noise: generator.Noise{CellPct: 0.05, NullReuse: 0.3},
 		mode:  match.OneToOne,
 		opt:   Options{Lambda: 0.5},
+		want:  pinnedRun{0x3fe815f45e0b4e04, 0x3fe815f45e0b4e04, 1162, 1162, 0, match.EnvStats{PairAttempts: 2646, PairRejects: 1212, ScoreEvals: 3758}},
 	},
 	{
 		label: "table2-git-wide",
@@ -82,6 +132,7 @@ var invarianceScenarios = []struct {
 		noise: generator.Noise{CellPct: 0.10},
 		mode:  match.OneToOne,
 		opt:   Options{Lambda: 0.5},
+		want:  pinnedRun{0x3fc22f2364aa36d7, 0x3fbb85676da395c7, 182, 135, 47, match.EnvStats{PairAttempts: 478, PairRejects: 214, ScoreEvals: 581}},
 	},
 	{
 		label: "table3-doct",
@@ -91,6 +142,7 @@ var invarianceScenarios = []struct {
 		opt:   Options{Lambda: 0.5},
 		// n-to-m never saturates, so every left row reaches completion.
 		wantCompleteBlocks: true,
+		want:               pinnedRun{0x3fe623732427ae58, 0x3fe623732427ae58, 1137, 1137, 0, match.EnvStats{PairAttempts: 7311, PairRejects: 5926, ScoreEvals: 3659}},
 	},
 	{
 		label: "rescue-heavy",
@@ -100,6 +152,7 @@ var invarianceScenarios = []struct {
 		opt:                Options{Lambda: 0.5},
 		wantRescueTasks:    true,
 		wantCompleteBlocks: true,
+		want:               pinnedRun{0x3fd0b70bb2445b8c, 0x3fd064945dc0bd4e, 474, 456, 18, match.EnvStats{PairAttempts: 22862, PairRejects: 20703, ScoreEvals: 3089}},
 	},
 	{
 		label: "partial",
@@ -107,12 +160,14 @@ var invarianceScenarios = []struct {
 		noise: generator.Noise{CellPct: 0.15, NullReuse: 0.3},
 		mode:  match.OneToOne,
 		opt:   Options{Lambda: 0.5, Partial: true, MinPartialSig: 2},
+		want:  pinnedRun{0x3fe9003a4114b520, 0x3fe8fc21ad9ff8b6, 1174, 1173, 1, match.EnvStats{PairAttempts: 1216, PairRejects: 42, ScoreEvals: 2347}},
 	},
 }
 
 // TestSignatureWorkerInvariance runs every scenario at Workers 1, 2, and 8
-// and requires the score, the phase stats, the full pair list, and the
-// EnvStats counters to be identical — not approximately, bit-for-bit.
+// and requires the score, the phase stats, and the EnvStats counters to
+// match the pinned outcome and the full pair list to be identical across
+// worker counts — not approximately, bit-for-bit.
 func TestSignatureWorkerInvariance(t *testing.T) {
 	for _, sc := range invarianceScenarios {
 		t.Run(sc.label, func(t *testing.T) {
@@ -124,50 +179,35 @@ func TestSignatureWorkerInvariance(t *testing.T) {
 			noise.Seed = 42
 			gen := generator.Make(base, noise)
 
-			type outcome struct {
-				score, afterSig           float64
-				sigMatches, compatMatches int
-				pairs                     []match.Pair
-				envStats                  match.EnvStats
-			}
-			runWith := func(workers int) (outcome, *Result) {
+			runWith := func(workers int) *Result {
 				opt := sc.opt
 				opt.Workers = workers
-				res, err := Run(gen.Source, gen.Target, sc.mode, opt)
+				res, err := Run(context.Background(), gen.Source, gen.Target, sc.mode, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return outcome{
-					score:         res.Score,
-					afterSig:      res.Stats.ScoreAfterSig,
+				got := pinnedRun{
+					score:         math.Float64bits(res.Score),
+					afterSig:      math.Float64bits(res.Stats.ScoreAfterSig),
+					pairs:         res.Env.NumPairs(),
 					sigMatches:    res.Stats.SigMatches,
 					compatMatches: res.Stats.CompatMatches,
-					pairs:         slices.Clone(res.Env.Pairs()),
 					envStats:      res.Env.Stats,
-				}, res
+				}
+				if got != sc.want {
+					t.Errorf("Workers=%d: outcome %+v, pinned %+v", workers, got, sc.want)
+				}
+				return res
 			}
 
-			ref, seqRes := runWith(1)
+			seqRes := runWith(1)
 			if seqRes.Stats.ScanBlocks != 0 || seqRes.Stats.RescueTasks != 0 || seqRes.Stats.CompleteBlocks != 0 {
-				t.Errorf("Workers=1 reported parallel blocks: %+v", seqRes.Stats)
+				t.Errorf("Workers=1 reported fanned-out blocks: %+v", seqRes.Stats)
 			}
 			for _, workers := range []int{2, 8} {
-				got, res := runWith(workers)
-				if got.score != ref.score {
-					t.Errorf("Workers=%d: score %.17g, sequential %.17g", workers, got.score, ref.score)
-				}
-				if got.afterSig != ref.afterSig {
-					t.Errorf("Workers=%d: ScoreAfterSig %.17g, sequential %.17g", workers, got.afterSig, ref.afterSig)
-				}
-				if got.sigMatches != ref.sigMatches || got.compatMatches != ref.compatMatches {
-					t.Errorf("Workers=%d: matches sig=%d compat=%d, sequential sig=%d compat=%d",
-						workers, got.sigMatches, got.compatMatches, ref.sigMatches, ref.compatMatches)
-				}
-				if !slices.Equal(got.pairs, ref.pairs) {
-					t.Errorf("Workers=%d: pair list diverges from sequential run", workers)
-				}
-				if got.envStats != ref.envStats {
-					t.Errorf("Workers=%d: EnvStats %+v, sequential %+v", workers, got.envStats, ref.envStats)
+				res := runWith(workers)
+				if !slices.Equal(res.Env.Pairs(), seqRes.Env.Pairs()) {
+					t.Errorf("Workers=%d: pair list diverges from the Workers=1 run", workers)
 				}
 				if res.Stats.Workers != workers {
 					t.Errorf("Workers=%d: Stats.Workers = %d", workers, res.Stats.Workers)
@@ -208,7 +248,7 @@ func TestSignatureWorkerInvarianceAblations(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				opt := abl.opt
 				opt.Workers = workers
-				res, err := Run(gen.Source, gen.Target, match.Functional, opt)
+				res, err := Run(context.Background(), gen.Source, gen.Target, match.Functional, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -228,9 +268,9 @@ func TestSignatureWorkerInvarianceAblations(t *testing.T) {
 	}
 }
 
-// TestParallelRunCancellation: a canceled parallel run terminates promptly,
-// reports StoppedCanceled, and leaves a usable (prefix) match, like the
-// sequential path.
+// TestParallelRunCancellation: a canceled fanned-out run terminates
+// promptly, reports StoppedCanceled, and leaves a usable (prefix) match,
+// like an inline run.
 func TestParallelRunCancellation(t *testing.T) {
 	base, err := datasets.Generate(datasets.Doct, 2000, 42)
 	if err != nil {
@@ -241,7 +281,7 @@ func TestParallelRunCancellation(t *testing.T) {
 	cancel()
 	done := make(chan *Result, 1)
 	go func() {
-		res, err := RunContext(ctx, gen.Source, gen.Target, match.Functional, Options{Lambda: 0.5, Workers: 4})
+		res, err := Run(ctx, gen.Source, gen.Target, match.Functional, Options{Lambda: 0.5, Workers: 4})
 		if err != nil {
 			t.Error(err)
 		}

@@ -1,0 +1,599 @@
+// Produce/commit pipeline for the signature algorithm (DESIGN.md §12): the
+// one implementation of each phase — sig-map build, pass scan, rescue, and
+// completion. The greedy phase is order-sensitive: tryPair's net-gain guard
+// reads insertion-time score sums and live degrees, so the set of accepted
+// pairs depends on the exact order in which candidates are attempted. The
+// pipeline therefore never lets producers touch the match: produce does the
+// read-only work (signature hashing, pattern probing, compatible-candidate
+// generation) for fixed-size blocks of the scan index, and the calling
+// goroutine commits every block's candidates in canonical scan order,
+// re-checking the live conditions (saturation, pair dedup, the guard
+// itself) in the order Alg. 3/4's loops check them.
+//
+// Worker invariance rests on two facts. First, candidate generation is
+// independent of the match state: signature hashes, pattern lists, and
+// CompatibleTuples lists are functions of the coded inputs alone. Second,
+// saturation is monotone during a run — degrees only grow, Undo only
+// occurs inside a failed tryPair — so producing candidates without
+// saturation early-outs is harmless: the committer's live checks skip
+// exactly the candidates a plain greedy loop would have skipped, in the
+// same order. Whether a phase fans out to workers or runs inline (fanOut),
+// the committed pair sequence, the EnvStats counters, and every score are
+// therefore bit-identical (pinned by the regress goldens and
+// TestSignatureWorkerInvariance).
+package signature
+
+import (
+	"cmp"
+	"math/bits"
+	"slices"
+	"sort"
+	"sync"
+	"sync/atomic"
+
+	"instcmp/internal/compat"
+	"instcmp/internal/match"
+	"instcmp/internal/model"
+)
+
+const (
+	// minParallelRows gates fan-out: below this many input rows (scan
+	// rows, unmatched rescue rows, completion left rows, indexed rows) the
+	// fan-out overhead dominates the work being split and the phase runs
+	// inline even with Workers > 1.
+	minParallelRows = 512
+	// scanBlockRows is the produce/commit unit of the pass and completion
+	// scans: big enough to amortize channel traffic, small enough that a
+	// handful of blocks are always in flight ahead of the committer.
+	scanBlockRows = 256
+	// sigBuildBlockRows is the hashing unit of the sigMap build.
+	sigBuildBlockRows = 1024
+)
+
+// fanOut is the pipeline's one size gate: the worker count for a phase over
+// rows input rows — the run's workers at or above minParallelRows, else 1
+// (inline).
+func (s *runner) fanOut(rows int) int {
+	if rows < minParallelRows {
+		return 1
+	}
+	return s.workers
+}
+
+// runBlocks drives the ordered produce/commit pipeline over blocks
+// b = 0, 1, ..., n-1: commit(b, produce(state, spare, b)) runs on the
+// calling goroutine in ascending b. With one effective worker it runs
+// inline, with no goroutines or channels: produce and commit alternate, a
+// single state comes from newState, and each produce receives the previous
+// block's payload (initially *spare) to reuse, the last one being stored
+// back in *spare. Otherwise produce runs on workers goroutines, each with
+// its own state and a zero spare; at most 2×workers blocks are in flight at
+// once, bounding payload memory, and workers claim blocks in ascending
+// order, so the lowest uncommitted block is always being produced and the
+// committer never stalls behind an unclaimed block. It returns the number
+// of fanned-out blocks: 0 inline, n otherwise.
+func runBlocks[S, T any](workers, n int, spare *T, newState func() S, produce func(S, T, int) T, commit func(int, T)) int {
+	workers = min(workers, n)
+	if workers <= 1 {
+		if n > 0 {
+			state := newState()
+			for b := 0; b < n; b++ {
+				*spare = produce(state, *spare, b)
+				commit(b, *spare)
+			}
+		}
+		return 0
+	}
+	inflight := min(2*workers, n)
+	results := make([]chan T, n)
+	for i := range results {
+		results[i] = make(chan T, 1)
+	}
+	// tokens carries permission to produce one block; capacity n keeps
+	// the committer's release sends non-blocking. Exactly n tokens are
+	// issued in total, one per block.
+	tokens := make(chan struct{}, n)
+	for i := 0; i < inflight; i++ {
+		tokens <- struct{}{}
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			state := newState()
+			var zero T
+			for range tokens {
+				b := int(next.Add(1)) - 1
+				if b >= n {
+					return
+				}
+				results[b] <- produce(state, zero, b)
+			}
+		}()
+	}
+	released := inflight
+	for b := 0; b < n; b++ {
+		commit(b, <-results[b])
+		if released < n {
+			tokens <- struct{}{}
+			released++
+		}
+	}
+	// Every result has been received, so every produce call has finished
+	// and the workers are idle on the token channel; closing it lets them
+	// exit.
+	close(tokens)
+	wg.Wait()
+	return n
+}
+
+// noState is the per-worker state of phases whose producers need none.
+func noState() struct{} { return struct{}{} }
+
+// parallelFor runs fn(i) for i in [0, n) across workers goroutines and
+// waits for all of them (a plain barrier, used where every sub-result is
+// needed before the next step can start); with one effective worker it
+// runs inline.
+func parallelFor(workers, n int, fn func(int)) {
+	workers = min(workers, n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// sigItem is one record of the sigMap build: a row's signature hash under
+// one indexed pattern, plus the row position. Shard filling replays items
+// in row order, so bucket contents are in row order.
+type sigItem struct {
+	h  uint64
+	ti int32
+}
+
+// buildBlock is one hashing block of the sigMap build; the runner keeps
+// them to reuse their buffers across builds.
+type buildBlock struct {
+	items []sigItem
+	masks []uint64 // distinct patterns of the block, first-seen order
+	seen  map[uint64]bool
+}
+
+// buildSigMap indexes every row of the coded relation. In the default mode
+// each row is indexed once, under its maximal signature (Alg. 4 line 3). In
+// partial mode each row is indexed under every signature with at least
+// MinPartialSig attributes (Sec. 6.3).
+//
+// The build runs in two steps. Step 1 hashes fixed-size row blocks, each
+// block recording its (hash, row) items in row order plus the distinct
+// patterns it saw. Step 2 gives each shard — the hashes whose low bits
+// select it — its own map and replays every block in order into it, so
+// bucket contents end up in row order without any cross-shard merge. The
+// pattern list is the sorted, deduplicated union of the per-block pattern
+// sets; sortPatterns is a total order over distinct masks, so it is
+// independent of discovery order. Cancellation is polled every cancelPollInterval
+// rows; a canceled build may stay partial, which is safe because the scan
+// that consumes it polls before its first row and bails out immediately.
+func (s *runner) buildSigMap(crel *model.CodedRelation, order []int) *sigMap {
+	rows := crel.Rows()
+	w := s.fanOut(rows)
+	nshards := 1
+	for nshards < w {
+		nshards <<= 1
+	}
+	partial, minSig := s.opt.Partial, max(s.opt.MinPartialSig, 1)
+	nBlocks := (rows + sigBuildBlockRows - 1) / sigBuildBlockRows
+	for len(s.buildBlocks) < nBlocks {
+		s.buildBlocks = append(s.buildBlocks, buildBlock{seen: map[uint64]bool{}})
+	}
+	blocks := s.buildBlocks[:nBlocks]
+	ctx := s.ctx
+	parallelFor(w, nBlocks, func(b int) {
+		start := b * sigBuildBlockRows
+		end := min(start+sigBuildBlockRows, rows)
+		bb := &blocks[b]
+		bb.items, bb.masks = bb.items[:0], bb.masks[:0]
+		clear(bb.seen)
+		add := func(ti int, row []model.ValueID, mask uint64) {
+			if !bb.seen[mask] {
+				bb.seen[mask] = true
+				bb.masks = append(bb.masks, mask)
+			}
+			bb.items = append(bb.items, sigItem{h: sigHash(row, mask, order), ti: int32(ti)})
+		}
+		for ti := start; ti < end; ti++ {
+			if (ti-start)%cancelPollInterval == 0 && ctx.Err() != nil {
+				break
+			}
+			row, maxMask := crel.Row(ti), crel.Masks[ti]
+			if !partial {
+				add(ti, row, maxMask)
+				continue
+			}
+			for sub := maxMask; ; sub = (sub - 1) & maxMask {
+				if bits.OnesCount64(sub) >= minSig {
+					add(ti, row, sub)
+				}
+				if sub == 0 {
+					break
+				}
+			}
+		}
+	})
+	for len(s.shards) < nshards {
+		s.shards = append(s.shards, make(map[uint64][]int, rows/nshards+1))
+	}
+	m := &s.sm
+	*m = sigMap{shards: s.shards[:nshards], mask: uint64(nshards - 1), patterns: s.patScratch[:0]}
+	parallelFor(w, nshards, func(sh int) {
+		want := uint64(sh)
+		bySig := m.shards[sh]
+		clear(bySig)
+		for _, bb := range blocks {
+			if ctx.Err() != nil {
+				break
+			}
+			for _, it := range bb.items {
+				if it.h&m.mask == want {
+					bySig[it.h] = append(bySig[it.h], int(it.ti))
+				}
+			}
+		}
+	})
+	for _, bb := range blocks {
+		m.patterns = append(m.patterns, bb.masks...)
+	}
+	// Sorting brings a pattern's copies from different blocks together.
+	sortPatterns(m.patterns)
+	m.patterns = slices.Compact(m.patterns)
+	s.patScratch = m.patterns
+	return m
+}
+
+// scanBlock is one produced unit of a pass scan: for each row of the
+// block, the signature-map buckets its eligible patterns hit, flattened in
+// probe order. The bucket slices are the sigMap's own (read-only).
+type scanBlock struct {
+	nbkts   []int32 // per row of the block: how many bucket refs follow
+	buckets [][]int
+}
+
+// pass runs FindSigMatches (Alg. 4) for one relation in one direction.
+// mapLeft selects which side the signature map is built over: true indexes
+// the left relation and scans the right (Alg. 3 line 3), false the reverse
+// (line 4). Producers probe the (immutable) signature map for each scan
+// row's eligible patterns, progressively smaller attribute subsets (Alg. 4
+// line 6, via the null-pattern optimization); the committer walks the
+// produced buckets in scan order — map-side saturation, tryPair, the
+// scan-side saturation early-out. Empty buckets are skipped at produce
+// time; they would add no attempt.
+func (s *runner) pass(ri int, mapLeft bool) {
+	mapCode, scanCode := s.env.LCode[ri], s.env.RCode[ri]
+	mapSaturated, scanSaturated := s.leftSaturated, s.rightSaturated
+	if !mapLeft {
+		mapCode, scanCode = scanCode, mapCode
+		mapSaturated, scanSaturated = s.rightSaturated, s.leftSaturated
+	}
+	order := s.order(ri)
+	sm := s.buildSigMap(mapCode, order)
+	mkPair := func(mapIdx, scanIdx int) match.Pair {
+		if mapLeft {
+			return match.Pair{L: match.Ref{Rel: ri, Idx: mapIdx}, R: match.Ref{Rel: ri, Idx: scanIdx}}
+		}
+		return match.Pair{L: match.Ref{Rel: ri, Idx: scanIdx}, R: match.Ref{Rel: ri, Idx: mapIdx}}
+	}
+	rows := scanCode.Rows()
+	nBlocks := (rows + scanBlockRows - 1) / scanBlockRows
+	ctx := s.ctx
+	produce := func(_ struct{}, bb scanBlock, b int) scanBlock {
+		start := b * scanBlockRows
+		end := min(start+scanBlockRows, rows)
+		bb.nbkts = slices.Grow(bb.nbkts[:0], end-start)[:end-start]
+		clear(bb.nbkts)
+		// Most rows hit one bucket; size for that up front.
+		bb.buckets = slices.Grow(bb.buckets[:0], end-start)
+		for si := start; si < end; si++ {
+			if (si-start)%cancelPollInterval == 0 && ctx.Err() != nil {
+				// Unproduced rows keep zero bucket counts; the
+				// committer bails on its own poll before using them.
+				break
+			}
+			row, ground := scanCode.Row(si), scanCode.Masks[si]
+			for _, pm := range sm.patterns {
+				if pm&^ground != 0 {
+					continue // pattern uses an attribute that is null in t
+				}
+				if bkt := sm.bucket(sigHash(row, pm, order)); len(bkt) > 0 {
+					bb.buckets = append(bb.buckets, bkt)
+					bb.nbkts[si-start]++
+				}
+			}
+		}
+		return bb
+	}
+	commit := func(b int, bb scanBlock) {
+		base := b * scanBlockRows
+		k := 0
+	scan:
+		for i, n := range bb.nbkts {
+			if i%cancelPollInterval == 0 && s.canceled() {
+				return
+			}
+			si := base + i
+			rowBkts := bb.buckets[k : k+int(n)]
+			k += int(n)
+			for _, bkt := range rowBkts {
+				for _, mi := range bkt {
+					if mapSaturated(match.Ref{Rel: ri, Idx: mi}) {
+						continue
+					}
+					if !s.tryPair(mkPair(mi, si)) {
+						continue
+					}
+					if scanSaturated(match.Ref{Rel: ri, Idx: si}) {
+						continue scan // Alg. 4 "goto next scanned tuple"
+					}
+				}
+			}
+		}
+	}
+	s.scanBlocks += runBlocks(s.fanOut(rows), nBlocks, &s.scanSpare, noState, produce, commit)
+}
+
+// maxRescueMasks caps the number of shared-attribute masks the rescue round
+// enumerates; anything beyond falls through to the completion step.
+const maxRescueMasks = 256
+
+// sigEntry is one row of rescue's sorted hash index: the row's
+// sub-signature hash and its position.
+type sigEntry struct {
+	h  uint64
+	li int32
+}
+
+// rescueTask is one produced unit of a rescue round (one mask): the hash
+// index over the mask-eligible unmatched left rows, sorted by hash (stable,
+// so equal-hash entries stay in leftUn order), plus the hash probes of the
+// mask-eligible unmatched right rows in rightUn order.
+type rescueTask struct {
+	entries []sigEntry
+	probes  []sigEntry // li holds the right row index here
+}
+
+// rescue probes tuples that remain unmatched after both maximal-signature
+// passes. A pair whose tuples hold nulls at different positions (left null
+// at A, right null at B) is invisible to maximal signatures: neither side's
+// constant set contains the other's. Such pairs still share the signature
+// on the intersection of their ground attributes (Property 2), so this
+// round enumerates the distinct ground-mask intersections of the unmatched
+// tuples — a small set in practice — and hash-joins on those
+// sub-signatures, one produce/commit unit per mask. Pairs sharing no
+// constant attribute at all are left to the completion step.
+//
+// Producers do not filter saturated left rows out of the index —
+// saturation moves while earlier masks commit — so the committer checks it
+// at probe time; saturated entries are skipped there and change nothing
+// else. The attempted-pair dedup map lives on the committer and is shared
+// across masks in mask order.
+func (s *runner) rescue(ri int) {
+	lcode, rcode := s.env.LCode[ri], s.env.RCode[ri]
+	order := s.order(ri)
+
+	unmatched := func(crel *model.CodedRelation, left bool) []int {
+		var out []int
+		for ti := 0; ti < crel.Rows(); ti++ {
+			ref := match.Ref{Rel: ri, Idx: ti}
+			var deg int
+			if left {
+				deg = s.env.LeftDegree(ref)
+			} else {
+				deg = s.env.RightDegree(ref)
+			}
+			if deg == 0 {
+				out = append(out, ti)
+			}
+		}
+		return out
+	}
+	leftUn, rightUn := unmatched(lcode, true), unmatched(rcode, false)
+	if len(leftUn) == 0 || len(rightUn) == 0 {
+		return
+	}
+
+	distinctMasks := func(crel *model.CodedRelation, idxs []int) []uint64 {
+		seen := map[uint64]bool{}
+		var out []uint64
+		for _, ti := range idxs {
+			m := crel.Masks[ti]
+			if !seen[m] {
+				seen[m] = true
+				out = append(out, m)
+			}
+		}
+		return out
+	}
+	lMasks, rMasks := distinctMasks(lcode, leftUn), distinctMasks(rcode, rightUn)
+	seen := map[uint64]bool{}
+	var masks []uint64
+	for _, gl := range lMasks {
+		// The mask product is quadratic in distinct null patterns; bail
+		// out between left masks so a cancel is answered promptly.
+		if s.canceled() {
+			return
+		}
+		for _, gr := range rMasks {
+			m := gl & gr
+			if m != 0 && !seen[m] {
+				seen[m] = true
+				masks = append(masks, m)
+			}
+		}
+	}
+	sortPatterns(masks)
+	if len(masks) > maxRescueMasks {
+		masks = masks[:maxRescueMasks]
+	}
+
+	ctx := s.ctx
+	produce := func(_ struct{}, t rescueTask, mi int) rescueTask {
+		m := masks[mi]
+		t.entries, t.probes = t.entries[:0], t.probes[:0]
+		for n, li := range leftUn {
+			if n%cancelPollInterval == 0 && ctx.Err() != nil {
+				return t
+			}
+			if lcode.Masks[li]&m == m {
+				t.entries = append(t.entries, sigEntry{h: sigHash(lcode.Row(li), m, order), li: int32(li)})
+			}
+		}
+		slices.SortStableFunc(t.entries, func(a, b sigEntry) int { return cmp.Compare(a.h, b.h) })
+		for n, ci := range rightUn {
+			if n%cancelPollInterval == 0 && ctx.Err() != nil {
+				return t
+			}
+			if rcode.Masks[ci]&m == m {
+				t.probes = append(t.probes, sigEntry{h: sigHash(rcode.Row(ci), m, order), li: int32(ci)})
+			}
+		}
+		return t
+	}
+	// Tuple pairs share many mask intersections; attempt each pair once.
+	attempted := map[match.Pair]bool{}
+	commit := func(_ int, t rescueTask) {
+		for n, pr := range t.probes {
+			if n%cancelPollInterval == 0 && s.canceled() {
+				return
+			}
+			ci := int(pr.li)
+			rref := match.Ref{Rel: ri, Idx: ci}
+			if s.rightSaturated(rref) {
+				continue
+			}
+			h := pr.h
+			lo := sort.Search(len(t.entries), func(i int) bool { return t.entries[i].h >= h })
+			for j := lo; j < len(t.entries) && t.entries[j].h == h; j++ {
+				li := int(t.entries[j].li)
+				lref := match.Ref{Rel: ri, Idx: li}
+				if s.leftSaturated(lref) {
+					continue
+				}
+				p := match.Pair{L: lref, R: rref}
+				if attempted[p] {
+					continue
+				}
+				attempted[p] = true
+				if s.tryPair(p) && s.rightSaturated(rref) {
+					break
+				}
+			}
+		}
+	}
+	var spare rescueTask
+	s.rescueTasks += runBlocks(s.fanOut(len(leftUn)+len(rightUn)), len(masks), &spare, noState, produce, commit)
+}
+
+// candBlock is one produced unit of a completion scan: for each left row
+// of the block, its CompatibleTuples candidates, flattened.
+type candBlock struct {
+	ncands []int32 // per left row of the block: how many candidates follow
+	cands  []int32
+}
+
+// complete runs the final step of Alg. 3 (lines 5-13): candidate pairs from
+// CompatibleTuples, confirmed greedily against the current match. Candidate
+// lists are fully static — the coded index is built once per relation from
+// a snapshot of the unsaturated right rows, and pairwise compatibility does
+// not depend on the match state — so producers compute them with private
+// Probers and the committer runs the confirmation loop (live
+// right-saturation filter, tryPair, left-saturation early-out) in left
+// order.
+func (s *runner) complete() {
+	var spare candBlock
+	for ri := range s.env.LRels {
+		if s.canceled() {
+			return
+		}
+		lcode, rcode := s.env.LCode[ri], s.env.RCode[ri]
+		// Injective sides only need their unmatched tuples considered;
+		// non-injective sides stay fully in play (Cases 1-4, Sec. 6.2).
+		var leftIdxs, rightIdxs []int
+		for ti := 0; ti < lcode.Rows(); ti++ {
+			if !s.leftSaturated(match.Ref{Rel: ri, Idx: ti}) {
+				leftIdxs = append(leftIdxs, ti)
+			}
+		}
+		for ti := 0; ti < rcode.Rows(); ti++ {
+			if !s.rightSaturated(match.Ref{Rel: ri, Idx: ti}) {
+				rightIdxs = append(rightIdxs, ti)
+			}
+		}
+		if len(leftIdxs) == 0 || len(rightIdxs) == 0 {
+			continue
+		}
+		ix := compat.NewCodedIndex(rcode, rightIdxs, s.env.In)
+		nBlocks := (len(leftIdxs) + scanBlockRows - 1) / scanBlockRows
+		ctx := s.ctx
+		produce := func(p *compat.Prober, bb candBlock, b int) candBlock {
+			start := b * scanBlockRows
+			end := min(start+scanBlockRows, len(leftIdxs))
+			bb.ncands = slices.Grow(bb.ncands[:0], end-start)[:end-start]
+			clear(bb.ncands)
+			bb.cands = bb.cands[:0]
+			for n := start; n < end; n++ {
+				if (n-start)%cancelPollInterval == 0 && ctx.Err() != nil {
+					break
+				}
+				li := leftIdxs[n]
+				cs := p.Candidates(lcode.Row(li), lcode.Masks[li])
+				bb.ncands[n-start] = int32(len(cs))
+				for _, ci := range cs {
+					bb.cands = append(bb.cands, int32(ci))
+				}
+			}
+			return bb
+		}
+		commit := func(b int, bb candBlock) {
+			base := b * scanBlockRows
+			k := 0
+			for i, n := range bb.ncands {
+				if i%cancelPollInterval == 0 && s.canceled() {
+					return
+				}
+				lref := match.Ref{Rel: ri, Idx: leftIdxs[base+i]}
+				row := bb.cands[k : k+int(n)]
+				k += int(n)
+				for _, ci := range row {
+					if s.rightSaturated(match.Ref{Rel: ri, Idx: int(ci)}) {
+						continue
+					}
+					if !s.tryPair(match.Pair{L: lref, R: match.Ref{Rel: ri, Idx: int(ci)}}) {
+						continue
+					}
+					if s.leftSaturated(lref) {
+						break // Alg. 3 "goto next left tuple"
+					}
+				}
+			}
+		}
+		s.completeBlocks += runBlocks(s.fanOut(len(leftIdxs)), nBlocks, &spare, ix.NewProber, produce, commit)
+	}
+}

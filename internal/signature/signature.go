@@ -24,15 +24,15 @@
 package signature
 
 import (
+	"cmp"
 	"context"
 	"expvar"
 	"fmt"
 	"math/bits"
 	"runtime"
-	"sort"
+	"slices"
 	"time"
 
-	"instcmp/internal/compat"
 	"instcmp/internal/match"
 	"instcmp/internal/model"
 	"instcmp/internal/score"
@@ -44,8 +44,8 @@ const StoppedCanceled = "canceled"
 
 // vars exports cumulative run counters for long-running processes
 // (expvar key "instcmp.signature"): runs, sig_matches, compat_matches,
-// canceled, plus the parallel-pipeline unit counters scan_blocks,
-// rescue_tasks, complete_blocks (zero while runs stay sequential).
+// canceled, plus the fanned-out pipeline unit counters scan_blocks,
+// rescue_tasks, complete_blocks (zero while every phase runs inline).
 var vars = expvar.NewMap("instcmp.signature")
 
 // Options configures a signature-algorithm run.
@@ -64,10 +64,11 @@ type Options struct {
 	// matches with their string similarity instead of 0 (the paper's
 	// Sec. 9 extension). Only meaningful with Partial.
 	ConstSim func(a, b string) float64
-	// Workers is the number of parallel pipeline workers inside a single
-	// run: 0 means GOMAXPROCS, 1 selects the plain sequential path. The
-	// result is bit-identical for every worker count — workers only do
-	// read-only work (signature hashing, pattern probing, candidate
+	// Workers is the number of pipeline workers inside a single run: 0
+	// means GOMAXPROCS, 1 runs every phase inline on the calling
+	// goroutine, as does any phase below the minParallelRows size gate.
+	// The result is bit-identical for every worker count — workers only
+	// do read-only work (signature hashing, pattern probing, candidate
 	// generation) and a single committer applies pairs in canonical scan
 	// order (DESIGN.md §12) — so only wall-clock time changes.
 	Workers int
@@ -105,12 +106,13 @@ type Stats struct {
 	SigPhase    time.Duration
 	CompatPhase time.Duration
 	// Workers is the resolved pipeline worker count of the run (1 means
-	// the sequential path ran).
+	// every phase ran inline).
 	Workers int
 	// ScanBlocks, RescueTasks, and CompleteBlocks count the produce/commit
-	// units the parallel pipeline processed per phase (scan blocks of the
-	// signature passes, per-mask rescue tasks, completion candidate
-	// blocks). All three stay 0 on the sequential path.
+	// units the pipeline fanned out to workers per phase (scan blocks of
+	// the signature passes, per-mask rescue tasks, completion candidate
+	// blocks). Units run inline are not counted, so all three stay 0 at
+	// Workers = 1 and below the size gate.
 	ScanBlocks, RescueTasks, CompleteBlocks int
 }
 
@@ -129,46 +131,24 @@ type Result struct {
 }
 
 // Run executes the signature algorithm on two instances under the given
-// mode. The instances must share a schema and have disjoint nulls.
-func Run(left, right *model.Instance, mode match.Mode, opt Options) (*Result, error) {
-	return RunContext(context.Background(), left, right, mode, opt)
-}
-
-// RunContext is Run with a cancellation context, polled between phases and
-// relations (the algorithm is polynomial, so per-relation granularity keeps
-// cancellation prompt without per-pair overhead).
-func RunContext(ctx context.Context, left, right *model.Instance, mode match.Mode, opt Options) (*Result, error) {
+// mode. The instances must share a schema and have disjoint nulls. The
+// context is polled between phases and relations and every
+// cancelPollInterval tuples inside them.
+func Run(ctx context.Context, left, right *model.Instance, mode match.Mode, opt Options) (*Result, error) {
 	env, err := match.NewEnv(left, right, mode)
 	if err != nil {
 		return nil, err
 	}
-	return RunEnvContext(ctx, env, opt)
+	return RunEnv(ctx, env, opt)
 }
 
-// RunPreparedContext is RunContext over prepared instances: the environment
-// is assembled from the two sides' resident codings (match.NewEnvPrepared)
-// instead of normalizing and interning from scratch. Scores, stats, and
-// stop behavior are bit-identical to RunContext on the same instances.
-func RunPreparedContext(ctx context.Context, left, right *match.PreparedSide, mode match.Mode, opt Options) (*Result, error) {
-	env, err := match.NewEnvPrepared(left, right, mode)
-	if err != nil {
-		return nil, err
-	}
-	return RunEnvContext(ctx, env, opt)
-}
-
-// RunEnv executes the signature algorithm on a caller-prepared environment
-// whose tuple mapping must be empty. It exists so other engines can reuse
-// the algorithm as a bound provider without re-interning the instances: the
-// exact search warm-starts its branch-and-bound by running RunEnv on its
-// own environment, reading off the match, and rolling it back with
-// Mark/Undo (every mutation goes through the environment's trail).
-func RunEnv(env *match.Env, opt Options) (*Result, error) {
-	return RunEnvContext(context.Background(), env, opt)
-}
-
-// RunEnvContext is RunEnv with a cancellation context.
-func RunEnvContext(ctx context.Context, env *match.Env, opt Options) (*Result, error) {
+// RunEnv executes the signature algorithm on a caller-built environment
+// whose tuple mapping must be empty: a prepared comparison passes the
+// environment match.NewEnvPrepared assembled, and the exact search
+// warm-starts its branch-and-bound by running RunEnv on its own
+// environment, reading off the match, and rolling it back with Mark/Undo
+// (every mutation goes through the environment's trail).
+func RunEnv(ctx context.Context, env *match.Env, opt Options) (*Result, error) {
 	if env.NumPairs() != 0 {
 		return nil, fmt.Errorf("signature: RunEnv requires an empty tuple mapping, got %d pairs", env.NumPairs())
 	}
@@ -250,8 +230,8 @@ type runner struct {
 	env *match.Env
 	ctx context.Context
 	opt Options
-	// workers is the resolved pipeline worker count (>= 1); 1 selects the
-	// sequential code paths throughout.
+	// workers is the resolved pipeline worker count (>= 1); fanOut
+	// decides per phase whether it is used.
 	workers int
 	// perfectOnly restricts tryPair to pairs scoring the full arity.
 	perfectOnly bool
@@ -259,15 +239,18 @@ type runner struct {
 	// backing the net-gain guard in tryPair. Indexed by flattened tuple
 	// position.
 	sumL, sumR []float64
-	// rescueEntries is scratch for rescue's per-mask hash index, reused
-	// across masks and relations (sequential path only; parallel rescue
-	// builds per-task indexes on the workers).
-	rescueEntries []sigEntry
-	// patScratch and seenMasks are buildSigMap scratch reused across the
-	// four builds per relation (two rounds × two directions).
-	patScratch []uint64
-	seenMasks  map[uint64]bool
-	// scanBlocks, rescueTasks, and completeBlocks count committed parallel
+	// sm, buildBlocks, shards, and patScratch are buildSigMap scratch
+	// reused across the four builds per relation (two rounds × two
+	// directions) and across relations: the previous pass's sigMap is
+	// dead by the time the next one is built.
+	sm          sigMap
+	buildBlocks []buildBlock
+	shards      []map[uint64][]int
+	patScratch  []uint64
+	// scanSpare is the pass scan's inline payload, handed back to the
+	// next pass for reuse.
+	scanSpare scanBlock
+	// scanBlocks, rescueTasks, and completeBlocks count fanned-out
 	// pipeline units, feeding Stats.
 	scanBlocks, rescueTasks, completeBlocks int
 	// stopped latches the first observed context cancellation so later
@@ -298,14 +281,6 @@ func (s *runner) canceled() bool {
 	return s.stopped
 }
 
-// sigEntry is one row of rescue's sorted hash index: the row's
-// sub-signature hash and its position.
-type sigEntry struct {
-	h  uint64
-	li int32
-}
-
-// leftSaturated reports whether a left tuple cannot take further partners.
 func (s *runner) leftSaturated(ref match.Ref) bool {
 	return s.env.Mode.LeftInjective && s.env.LeftDegree(ref) > 0
 }
@@ -344,7 +319,7 @@ func sigHash(row []model.ValueID, mask uint64, attrOrder []int) uint64 {
 
 // sigMap indexes the rows of one coded relation side by signature hashes.
 // Buckets are split across power-of-two shards keyed by the low hash bits,
-// so the parallel build can fill shards independently; the sequential build
+// so a fanned-out build can fill shards independently; an inline build
 // uses a single shard. Bucket contents are in row order either way, which
 // the scan's commit order relies on.
 type sigMap struct {
@@ -360,130 +335,14 @@ func (m *sigMap) bucket(sig uint64) []int {
 
 // sortPatterns orders distinct signature masks canonically: larger
 // attribute sets first, ties by value. The order is total over distinct
-// masks, so sequential and parallel builds agree on it.
+// masks, so it does not depend on the order the masks were discovered in.
 func sortPatterns(patterns []uint64) {
-	sort.Slice(patterns, func(i, j int) bool {
-		pi, pj := bits.OnesCount64(patterns[i]), bits.OnesCount64(patterns[j])
-		if pi != pj {
-			return pi > pj
+	slices.SortFunc(patterns, func(a, b uint64) int {
+		if c := cmp.Compare(bits.OnesCount64(b), bits.OnesCount64(a)); c != 0 {
+			return c
 		}
-		return patterns[i] < patterns[j]
+		return cmp.Compare(a, b)
 	})
-}
-
-// buildSigMap indexes every row of the coded relation. In the default mode
-// each row is indexed once, under its maximal signature (Alg. 4 line 3). In
-// partial mode each row is indexed under every signature with at least
-// minSig attributes (Sec. 6.3). Cancellation is polled every
-// cancelPollInterval rows; a canceled build returns the partial index,
-// which is safe because the scan that consumes it polls before its first
-// row and bails out immediately.
-func (s *runner) buildSigMap(crel *model.CodedRelation, order []int) *sigMap {
-	if s.workers > 1 && crel.Rows() >= minParallelRows {
-		return s.buildSigMapParallel(crel, order)
-	}
-	partial, minSig := s.opt.Partial, s.opt.MinPartialSig
-	// Size the bucket map from the row count (exact in the default mode,
-	// a floor in partial mode) and reuse the pattern scratch: the previous
-	// pass's sigMap is dead by the time the next one is built.
-	bySig := make(map[uint64][]int, crel.Rows())
-	m := &sigMap{shards: []map[uint64][]int{bySig}, patterns: s.patScratch[:0]}
-	if s.seenMasks == nil {
-		s.seenMasks = map[uint64]bool{}
-	} else {
-		clear(s.seenMasks)
-	}
-	seen := s.seenMasks
-	add := func(ti int, row []model.ValueID, mask uint64) {
-		if !seen[mask] {
-			seen[mask] = true
-			m.patterns = append(m.patterns, mask)
-		}
-		sig := sigHash(row, mask, order)
-		bySig[sig] = append(bySig[sig], ti)
-	}
-	for ti := 0; ti < crel.Rows(); ti++ {
-		if ti%cancelPollInterval == 0 && s.canceled() {
-			break
-		}
-		row, maxMask := crel.Row(ti), crel.Masks[ti]
-		if !partial {
-			add(ti, row, maxMask)
-			continue
-		}
-		// Enumerate sub-signatures of the maximal signature with at
-		// least minSig attributes.
-		if minSig < 1 {
-			minSig = 1
-		}
-		for sub := maxMask; ; sub = (sub - 1) & maxMask {
-			if bits.OnesCount64(sub) >= minSig {
-				add(ti, row, sub)
-			}
-			if sub == 0 {
-				break
-			}
-		}
-	}
-	sortPatterns(m.patterns)
-	s.patScratch = m.patterns
-	return m
-}
-
-// pass runs FindSigMatches (Alg. 4) for one relation in one direction.
-// mapLeft selects which side the signature map is built over: true indexes
-// the left relation and scans the right (Alg. 3 line 3), false the reverse
-// (line 4).
-func (s *runner) pass(ri int, mapLeft bool) {
-	mapCode, scanCode := s.env.LCode[ri], s.env.RCode[ri]
-	if !mapLeft {
-		mapCode, scanCode = scanCode, mapCode
-	}
-	order := s.order(ri)
-	sm := s.buildSigMap(mapCode, order)
-	if s.workers > 1 && scanCode.Rows() >= minParallelRows {
-		s.passParallel(ri, mapLeft, scanCode, sm, order)
-		return
-	}
-
-	mapSaturated := s.leftSaturated
-	scanSaturated := s.rightSaturated
-	if !mapLeft {
-		mapSaturated, scanSaturated = s.rightSaturated, s.leftSaturated
-	}
-	mkPair := func(mapIdx, scanIdx int) match.Pair {
-		if mapLeft {
-			return match.Pair{L: match.Ref{Rel: ri, Idx: mapIdx}, R: match.Ref{Rel: ri, Idx: scanIdx}}
-		}
-		return match.Pair{L: match.Ref{Rel: ri, Idx: scanIdx}, R: match.Ref{Rel: ri, Idx: mapIdx}}
-	}
-
-scan:
-	for si := 0; si < scanCode.Rows(); si++ {
-		if si%cancelPollInterval == 0 && s.canceled() {
-			return
-		}
-		row, ground := scanCode.Row(si), scanCode.Masks[si]
-		// Progressively smaller indexed attribute subsets (Alg. 4
-		// line 6, via the null-pattern optimization).
-		for _, pm := range sm.patterns {
-			if pm&^ground != 0 {
-				continue // pattern uses an attribute that is null in t
-			}
-			sig := sigHash(row, pm, order)
-			for _, mi := range sm.bucket(sig) {
-				if mapSaturated(match.Ref{Rel: ri, Idx: mi}) {
-					continue
-				}
-				if !s.tryPair(mkPair(mi, si)) {
-					continue
-				}
-				if scanSaturated(match.Ref{Rel: ri, Idx: si}) {
-					continue scan // Alg. 4 "goto next scanned tuple"
-				}
-			}
-		}
-	}
 }
 
 // tryPair adds a pair to the match if it is compatible with the current
@@ -527,190 +386,4 @@ func (s *runner) tryPair(p match.Pair) bool {
 	s.sumL[fl] += sc
 	s.sumR[fr] += sc
 	return true
-}
-
-// maxRescueMasks caps the number of shared-attribute masks the rescue round
-// enumerates; anything beyond falls through to the completion step.
-const maxRescueMasks = 256
-
-// rescue probes tuples that remain unmatched after both maximal-signature
-// passes. A pair whose tuples hold nulls at different positions (left null
-// at A, right null at B) is invisible to maximal signatures: neither side's
-// constant set contains the other's. Such pairs still share the signature
-// on the intersection of their ground attributes (Property 2), so this
-// round enumerates the distinct ground-mask intersections of the unmatched
-// tuples — a small set in practice — and hash-joins on those
-// sub-signatures. Pairs sharing no constant attribute at all are left to
-// the completion step.
-func (s *runner) rescue(ri int) {
-	lcode, rcode := s.env.LCode[ri], s.env.RCode[ri]
-	order := s.order(ri)
-
-	unmatched := func(crel *model.CodedRelation, left bool) []int {
-		var out []int
-		for ti := 0; ti < crel.Rows(); ti++ {
-			ref := match.Ref{Rel: ri, Idx: ti}
-			var deg int
-			if left {
-				deg = s.env.LeftDegree(ref)
-			} else {
-				deg = s.env.RightDegree(ref)
-			}
-			if deg == 0 {
-				out = append(out, ti)
-			}
-		}
-		return out
-	}
-	leftUn, rightUn := unmatched(lcode, true), unmatched(rcode, false)
-	if len(leftUn) == 0 || len(rightUn) == 0 {
-		return
-	}
-
-	distinctMasks := func(crel *model.CodedRelation, idxs []int) []uint64 {
-		seen := map[uint64]bool{}
-		var out []uint64
-		for _, ti := range idxs {
-			m := crel.Masks[ti]
-			if !seen[m] {
-				seen[m] = true
-				out = append(out, m)
-			}
-		}
-		return out
-	}
-	lMasks, rMasks := distinctMasks(lcode, leftUn), distinctMasks(rcode, rightUn)
-	seen := map[uint64]bool{}
-	var masks []uint64
-	for _, gl := range lMasks {
-		// The mask product is quadratic in distinct null patterns; bail
-		// out between left masks so a cancel is answered promptly.
-		if s.canceled() {
-			return
-		}
-		for _, gr := range rMasks {
-			m := gl & gr
-			if m != 0 && !seen[m] {
-				seen[m] = true
-				masks = append(masks, m)
-			}
-		}
-	}
-	sort.Slice(masks, func(i, j int) bool {
-		pi, pj := bits.OnesCount64(masks[i]), bits.OnesCount64(masks[j])
-		if pi != pj {
-			return pi > pj
-		}
-		return masks[i] < masks[j]
-	})
-	if len(masks) > maxRescueMasks {
-		masks = masks[:maxRescueMasks]
-	}
-
-	// Tuple pairs share many mask intersections; attempt each pair once.
-	attempted := map[match.Pair]bool{}
-	if s.workers > 1 && len(masks) > 1 && len(leftUn)+len(rightUn) >= minParallelRows {
-		s.rescueParallel(ri, masks, leftUn, rightUn, order, attempted)
-		return
-	}
-	for _, m := range masks {
-		if s.canceled() {
-			return
-		}
-		// Per-mask hash index over the eligible left rows: a slice of
-		// (hash, position) entries sorted by hash, probed by binary
-		// search. The backing array is scratch reused across masks; the
-		// stable sort keeps equal-hash entries in leftUn order, so
-		// probes visit candidates in the same order a bucket map built
-		// by appending would.
-		entries := s.rescueEntries[:0]
-		for _, li := range leftUn {
-			if s.leftSaturated(match.Ref{Rel: ri, Idx: li}) {
-				continue
-			}
-			if lcode.Masks[li]&m == m {
-				entries = append(entries, sigEntry{h: sigHash(lcode.Row(li), m, order), li: int32(li)})
-			}
-		}
-		s.rescueEntries = entries
-		if len(entries) == 0 {
-			continue
-		}
-		sort.SliceStable(entries, func(i, j int) bool { return entries[i].h < entries[j].h })
-		for _, ci := range rightUn {
-			rref := match.Ref{Rel: ri, Idx: ci}
-			if s.rightSaturated(rref) {
-				continue
-			}
-			if rcode.Masks[ci]&m != m {
-				continue
-			}
-			h := sigHash(rcode.Row(ci), m, order)
-			lo := sort.Search(len(entries), func(i int) bool { return entries[i].h >= h })
-			for j := lo; j < len(entries) && entries[j].h == h; j++ {
-				li := int(entries[j].li)
-				lref := match.Ref{Rel: ri, Idx: li}
-				if s.leftSaturated(lref) {
-					continue
-				}
-				p := match.Pair{L: lref, R: rref}
-				if attempted[p] {
-					continue
-				}
-				attempted[p] = true
-				if s.tryPair(p) && s.rightSaturated(rref) {
-					break
-				}
-			}
-		}
-	}
-}
-
-// complete runs the final step of Alg. 3 (lines 5-13): candidate pairs from
-// CompatibleTuples, confirmed greedily against the current match.
-func (s *runner) complete() {
-	for ri := range s.env.LRels {
-		if s.canceled() {
-			return
-		}
-		lcode, rcode := s.env.LCode[ri], s.env.RCode[ri]
-		// Injective sides only need their unmatched tuples considered;
-		// non-injective sides stay fully in play (Cases 1-4, Sec. 6.2).
-		var leftIdxs, rightIdxs []int
-		for ti := 0; ti < lcode.Rows(); ti++ {
-			if !s.leftSaturated(match.Ref{Rel: ri, Idx: ti}) {
-				leftIdxs = append(leftIdxs, ti)
-			}
-		}
-		for ti := 0; ti < rcode.Rows(); ti++ {
-			if !s.rightSaturated(match.Ref{Rel: ri, Idx: ti}) {
-				rightIdxs = append(rightIdxs, ti)
-			}
-		}
-		if len(leftIdxs) == 0 || len(rightIdxs) == 0 {
-			continue
-		}
-		ix := compat.NewCodedIndex(rcode, rightIdxs, s.env.In)
-		if s.workers > 1 && len(leftIdxs) >= minParallelRows {
-			s.completeParallel(ri, leftIdxs, ix)
-			continue
-		}
-		for n, li := range leftIdxs {
-			if n%cancelPollInterval == 0 && s.canceled() {
-				return
-			}
-			lref := match.Ref{Rel: ri, Idx: li}
-			for _, ci := range ix.Candidates(lcode.Row(li), lcode.Masks[li]) {
-				if s.rightSaturated(match.Ref{Rel: ri, Idx: ci}) {
-					continue
-				}
-				if !s.tryPair(match.Pair{L: lref, R: match.Ref{Rel: ri, Idx: ci}}) {
-					continue
-				}
-				if s.leftSaturated(lref) {
-					break // Alg. 3 "goto next left tuple"
-				}
-			}
-		}
-	}
 }

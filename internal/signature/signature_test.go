@@ -1,6 +1,7 @@
 package signature
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -29,7 +30,7 @@ func build(rows [][]model.Value) *model.Instance {
 
 func run(t *testing.T, l, r *model.Instance, mode match.Mode) *Result {
 	t.Helper()
-	res, err := Run(l, r, mode, Options{Lambda: lambda})
+	res, err := Run(context.Background(), l, r, mode, Options{Lambda: lambda})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestSchemaMismatchError(t *testing.T) {
 	l := build([][]model.Value{{c("a"), c("b")}})
 	r := model.NewInstance()
 	r.AddRelation("S", "A", "B")
-	if _, err := Run(l, r, match.OneToOne, Options{Lambda: lambda}); err == nil {
+	if _, err := Run(context.Background(), l, r, match.OneToOne, Options{Lambda: lambda}); err == nil {
 		t.Error("expected schema mismatch error")
 	}
 }
@@ -150,7 +151,7 @@ func TestPartialMatching(t *testing.T) {
 		t.Fatalf("complete-match score = %v, want 0 (conflicting constants)", full.Score)
 	}
 
-	part, err := Run(l, r, match.OneToOne, Options{Lambda: lambda, Partial: true, MinPartialSig: 2})
+	part, err := Run(context.Background(), l, r, match.OneToOne, Options{Lambda: lambda, Partial: true, MinPartialSig: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestPartialMatching(t *testing.T) {
 	}
 
 	// A floor of 3 shared constants rejects the pair again.
-	strict, err := Run(l, r, match.OneToOne, Options{Lambda: lambda, Partial: true, MinPartialSig: 3})
+	strict, err := Run(context.Background(), l, r, match.OneToOne, Options{Lambda: lambda, Partial: true, MinPartialSig: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestPartialMatching(t *testing.T) {
 func TestPartialStillAcceptsCompatiblePairs(t *testing.T) {
 	l := build([][]model.Value{{n("N1"), c("b")}})
 	r := build([][]model.Value{{c("a"), c("b")}})
-	res, err := Run(l, r, match.OneToOne, Options{Lambda: lambda, Partial: true, MinPartialSig: 2})
+	res, err := Run(context.Background(), l, r, match.OneToOne, Options{Lambda: lambda, Partial: true, MinPartialSig: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -174,10 +174,13 @@ func comparePrepared(ctx context.Context, lp, rp *Prepared, opt *Options, start 
 	res.Stats.NormalizeTime = time.Since(start)
 	res.Stats.WarmScore = -1
 	searchStart := time.Now()
-	var env *match.Env
+	env, err := match.NewEnvPrepared(l.side, r.side, opt.Mode)
+	if err != nil {
+		return nil, err
+	}
 	switch algo {
 	case AlgoExact:
-		ex, err := exact.RunPreparedContext(ctx, l.side, r.side, opt.Mode, exact.Options{
+		ex, err := exact.RunEnv(ctx, env, exact.Options{
 			Lambda:   opt.lambda(),
 			MaxNodes: opt.ExactMaxNodes,
 			Timeout:  opt.ExactTimeout,
@@ -186,7 +189,6 @@ func comparePrepared(ctx context.Context, lp, rp *Prepared, opt *Options, start 
 		if err != nil {
 			return nil, err
 		}
-		env = ex.Env
 		res.Score = ex.Score
 		res.Exhaustive = ex.Exhaustive
 		res.Stopped = ex.Stopped
@@ -199,7 +201,7 @@ func comparePrepared(ctx context.Context, lp, rp *Prepared, opt *Options, start 
 		}
 		res.Stats.fillEnv(ex.EnvStats)
 	case AlgoSignature:
-		sig, err := signature.RunPreparedContext(ctx, l.side, r.side, opt.Mode, signature.Options{
+		sig, err := signature.RunEnv(ctx, env, signature.Options{
 			Lambda:        opt.lambda(),
 			Partial:       opt.Partial,
 			MinPartialSig: opt.MinPartialSig,
@@ -209,7 +211,6 @@ func comparePrepared(ctx context.Context, lp, rp *Prepared, opt *Options, start 
 		if err != nil {
 			return nil, err
 		}
-		env = sig.Env
 		res.Score = sig.Score
 		res.Stopped = sig.Stopped
 		res.Stats.fillSignature(sig.Stats)
