@@ -127,13 +127,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-
-	var res []lake.Result
-	if ix != nil {
-		res, err = rankThroughIndex(ctx, example, fs.Arg(1), ix, opt, *anonNulls, start, out)
-	} else {
-		res, err = rankFullScan(ctx, example, fs.Arg(1), opt, *anonNulls, out)
-	}
+	res, err := rankLake(ctx, example, fs.Arg(1), ix, opt, *anonNulls, start, out)
 	if err != nil {
 		return err
 	}
@@ -201,102 +195,51 @@ func loadLake(dir string, names []string, anon bool, out io.Writer) []lake.Candi
 	return cands
 }
 
-// rankFullScan is the classic path: load every dataset, compare every
-// dataset.
-func rankFullScan(ctx context.Context, example *instcmp.Instance, dir string, opt lake.Options, anon bool, out io.Writer) ([]lake.Result, error) {
+// rankLake ranks the lake directory through lake.RankThroughIndex. Without
+// an index every dataset is loaded and compared. With one, the index is
+// probed before any candidate CSV is touched: only shortlisted datasets
+// (plus datasets the index has never seen) are parsed and compared, and the
+// rest are reported pruned without being read at all — the cold-start
+// payoff of a persisted index.
+func rankLake(ctx context.Context, example *instcmp.Instance, dir string, ix *lakeindex.Index, opt lake.Options, anon bool, start time.Time, out io.Writer) ([]lake.Result, error) {
 	names, err := datasetNames(dir)
 	if err != nil {
 		return nil, err
 	}
-	cands := loadLake(dir, names, anon, out)
-	if len(cands) == 0 {
-		return nil, fmt.Errorf("no datasets found in %s", dir)
+	// A nil *Index inside the interface would defeat the nil check that
+	// selects the full scan, so only a loaded index becomes a Searcher.
+	var idx lakeindex.Searcher
+	if ix != nil {
+		idx = ix
 	}
-	return lake.Rank(ctx, example, cands, opt)
-}
-
-// rankThroughIndex probes the persisted sketch index before touching any
-// candidate CSV: only shortlisted datasets (plus datasets the index has
-// never seen) are parsed and compared; the rest are reported pruned without
-// being read at all — the cold-start payoff of a persisted index.
-func rankThroughIndex(ctx context.Context, example *instcmp.Instance, dir string, ix *lakeindex.Index, opt lake.Options, anon bool, start time.Time, out io.Writer) ([]lake.Result, error) {
-	names, err := datasetNames(dir)
-	if err != nil {
-		return nil, err
-	}
-	topK := opt.TopK
-	if topK <= 0 {
-		topK = lake.DefaultTopK
-	}
-	target := max(4*topK, lake.DefaultMinShortlist)
-	if len(names) <= target {
-		fmt.Fprintf(out, "index: lake of %d fits the shortlist of %d; comparing everything\n", len(names), target)
-		cands := loadLake(dir, names, anon, out)
-		if len(cands) == 0 {
-			return nil, fmt.Errorf("no datasets found in %s", dir)
+	query := func() (*lakeindex.Sketch, error) {
+		prep, err := instcmp.Prepare(example)
+		if err != nil {
+			return nil, err
 		}
+		return lakeindex.NewSketch(prep.SketchFeatures()), nil
+	}
+	compared := 0
+	res, st, err := lake.RankThroughIndex(names, idx, query, opt, func(short []int) ([]lake.Result, error) {
+		shortNames := make([]string, len(short))
+		for k, i := range short {
+			shortNames[k] = names[i]
+		}
+		cands := loadLake(dir, shortNames, anon, out)
+		compared = len(cands)
 		return lake.Rank(ctx, example, cands, opt)
-	}
-
-	prep, err := instcmp.Prepare(example)
-	if err != nil {
+	})
+	switch {
+	case err != nil:
 		return nil, err
+	case len(res) == 0:
+		return nil, fmt.Errorf("no datasets found in %s", dir)
+	case ix != nil && st.FullScan:
+		fmt.Fprintf(out, "index: lake of %d datasets fits the shortlist; comparing everything\n", len(names))
+	case ix != nil:
+		fmt.Fprintf(out, "index: compared %d of %d datasets (probed %d, widened=%v, unindexed=%d) in %v\n",
+			compared, len(names), st.Probed, st.Widened, st.Unindexed, time.Since(start).Round(time.Millisecond))
 	}
-	query := lakeindex.NewSketch(prep.SketchFeatures())
-
-	onDisk := make(map[string]bool, len(names))
-	for _, name := range names {
-		onDisk[name] = true
-	}
-	// Ask for extra hits in case the index covers datasets that have since
-	// been deleted from the lake; keep the best target that still exist.
-	var hits []lakeindex.Hit
-	var ps lakeindex.ProbeStats
-	shortlisted := make(map[string]bool, target)
-	for probeTarget := target; ; probeTarget *= 2 {
-		hits, ps = ix.Shortlist(query, probeTarget)
-		members := 0
-		for _, h := range hits {
-			if onDisk[h.Name] {
-				members++
-			}
-		}
-		if members >= target || len(hits) < probeTarget {
-			break
-		}
-	}
-	for _, h := range hits {
-		if onDisk[h.Name] {
-			shortlisted[h.Name] = true
-			if len(shortlisted) >= target {
-				break
-			}
-		}
-	}
-
-	var shortNames []string
-	var rest []lake.Result
-	unindexed := 0
-	for _, name := range names {
-		switch {
-		case shortlisted[name]:
-			shortNames = append(shortNames, name)
-		case !ix.Contains(name):
-			// New dataset the index predates: compare unconditionally.
-			unindexed++
-			shortNames = append(shortNames, name)
-		default:
-			rest = append(rest, lake.Result{Name: name, Pruned: true})
-		}
-	}
-	cands := loadLake(dir, shortNames, anon, out)
-	res, err := lake.Rank(ctx, example, cands, opt)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(out, "index: compared %d of %d datasets (probed %d, widened=%v, unindexed=%d) in %v\n",
-		len(cands), len(names), ps.Probed, ps.Widened, unindexed, time.Since(start).Round(time.Millisecond))
-	res = append(res, rest...)
 	return res, nil
 }
 

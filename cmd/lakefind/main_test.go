@@ -229,6 +229,34 @@ func TestRunIndexStaleAndMissingDatasets(t *testing.T) {
 	}
 }
 
+// TestRunIndexRankingMatchesFullScan pins the whole printed ranking, not
+// just its top: index-pruned datasets must merge into the shared order
+// (scored first, then degraded by overlap desc, name asc) rather than trail
+// behind it. An unindexed dataset sharing no constants sorts last by name
+// here, exactly where the full scan prints it.
+func TestRunIndexRankingMatchesFullScan(t *testing.T) {
+	example, lakeDir, idx := setupBigLake(t)
+	if err := run([]string{"-build-index", "-index", idx, lakeDir}, &strings.Builder{}); err != nil {
+		t.Fatal(err)
+	}
+	write(t, filepath.Join(lakeDir, "zz-new.csv"), "Name,Year\nzz,1\n")
+
+	var indexed, scan strings.Builder
+	if err := run([]string{"-index", idx, example, lakeDir}, &indexed); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{example, lakeDir}, &scan); err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Split(strings.TrimSpace(indexed.String()), "\n")
+	if !strings.HasPrefix(got[0], "index: compared 65 of 81 datasets") || !strings.Contains(got[0], "unindexed=1") {
+		t.Fatalf("indexed run did not shortlist 64 plus the newcomer:\n%s", indexed.String())
+	}
+	if want := strings.TrimSpace(scan.String()); strings.Join(got[1:], "\n") != want {
+		t.Errorf("indexed ranking differs from the full scan\nindexed:\n%s\nfull scan:\n%s", indexed.String(), scan.String())
+	}
+}
+
 func TestRunIndexUnusableFallsBack(t *testing.T) {
 	example, lakeDir, idx := setupBigLake(t)
 	if err := run([]string{"-build-index", "-index", idx, lakeDir}, &strings.Builder{}); err != nil {

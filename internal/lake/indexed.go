@@ -56,6 +56,38 @@ type IndexStats struct {
 // index, or a lake that does not outnumber the shortlist, degrades to
 // RankPreparedContext transparently (IndexStats.FullScan).
 func RankIndexedContext(ctx context.Context, example *instcmp.Prepared, lake []PreparedCandidate, idx lakeindex.Searcher, opt Options) ([]Result, IndexStats, error) {
+	names := make([]string, len(lake))
+	for i, cand := range lake {
+		names[i] = cand.Name
+	}
+	query := func() (*lakeindex.Sketch, error) {
+		if example == nil {
+			return nil, fmt.Errorf("lake: RankIndexed requires a non-nil prepared example")
+		}
+		return lakeindex.NewSketch(example.SketchFeatures()), nil
+	}
+	return RankThroughIndex(names, idx, query, opt, func(short []int) ([]Result, error) {
+		cands := make([]PreparedCandidate, len(short))
+		for k, i := range short {
+			cands[k] = lake[i]
+		}
+		return RankPreparedContext(ctx, example, cands, opt)
+	})
+}
+
+// RankThroughIndex is the one shortlist decision of every indexed ranking:
+// RankIndexedContext runs it over a resident prepared lake, and cmd/lakefind
+// over a lake directory whose datasets it loads only once shortlisted.
+//
+// names lists the lake's candidates. The shortlist is max(4*TopK,
+// MinShortlist) of them; a nil idx, or a lake no larger than that, compares
+// every candidate instead (IndexStats.FullScan). Otherwise query sketches
+// the example, idx is probed, and candidates the index has never seen are
+// shortlisted unconditionally. rank compares the shortlisted candidates —
+// short holds positions in names, in names order — and returns them ranked;
+// the rest are merged in as Pruned with score and overlap 0, in the shared
+// ranking order.
+func RankThroughIndex(names []string, idx lakeindex.Searcher, query func() (*lakeindex.Sketch, error), opt Options, rank func(short []int) ([]Result, error)) ([]Result, IndexStats, error) {
 	var st IndexStats
 	topK := opt.TopK
 	if topK <= 0 {
@@ -66,37 +98,41 @@ func RankIndexedContext(ctx context.Context, example *instcmp.Prepared, lake []P
 		minShort = DefaultMinShortlist
 	}
 	target := max(4*topK, minShort)
-	if idx == nil || len(lake) <= target {
+	if idx == nil || len(names) <= target {
 		st.FullScan = true
-		st.ShortlistSize = len(lake)
+		st.ShortlistSize = len(names)
 		vars.Add("full_scan_fallbacks", 1)
-		res, err := RankPreparedContext(ctx, example, lake, opt)
+		all := make([]int, len(names))
+		for i := range all {
+			all[i] = i
+		}
+		res, err := rank(all)
 		return res, st, err
-	}
-	if example == nil {
-		return nil, st, fmt.Errorf("lake: RankIndexed requires a non-nil prepared example")
 	}
 
 	//instlint:allow nondet -- stopwatch feeds IndexedStats.SketchBuild, a human-facing duration, never a score or ranking input
 	start := time.Now()
-	query := lakeindex.NewSketch(example.SketchFeatures())
+	q, err := query()
+	if err != nil {
+		return nil, st, err
+	}
 	st.SketchBuild = time.Since(start)
 
-	inLake := make(map[string]bool, len(lake))
-	for _, cand := range lake {
-		inLake[cand.Name] = true
+	inLake := make(map[string]bool, len(names))
+	for _, name := range names {
+		inLake[name] = true
 	}
 	// The index may cover names outside this lake (a registry indexes every
-	// registered instance, including the example itself), and those hits
-	// would silently shrink the shortlist below target. Re-probe with a
-	// doubled target until target lake members are retrieved or the index is
-	// exhausted (a probe returning fewer hits than asked for has seen
-	// everything).
+	// registered instance, including the example itself; a persisted index
+	// still lists deleted datasets), and those hits would silently shrink
+	// the shortlist below target. Re-probe with a doubled target until
+	// target lake members are retrieved or the index is exhausted (a probe
+	// returning fewer hits than asked for has seen everything).
 	var hits []lakeindex.Hit
 	var ps lakeindex.ProbeStats
 	//instlint:allow ctxpoll -- at most log(index size) probes, each a bounded sketch scan costing microseconds; the comparisons that follow poll ctx
 	for probeTarget := target; ; probeTarget *= 2 {
-		hits, ps = idx.Shortlist(query, probeTarget)
+		hits, ps = idx.Shortlist(q, probeTarget)
 		members := 0
 		for _, h := range hits {
 			if inLake[h.Name] {
@@ -120,25 +156,25 @@ func RankIndexedContext(ctx context.Context, example *instcmp.Prepared, lake []P
 			}
 		}
 	}
-	short := make([]PreparedCandidate, 0, target)
+	short := make([]int, 0, target)
 	var rest []Result
-	for _, cand := range lake {
+	for i, name := range names {
 		switch {
-		case shortlisted[cand.Name]:
-			short = append(short, cand)
-		case !idx.Contains(cand.Name):
+		case shortlisted[name]:
+			short = append(short, i)
+		case !idx.Contains(name):
 			// The index has never seen this candidate (it was added after
 			// the index was built): shortlist it unconditionally rather
 			// than dropping it on evidence the index does not have.
 			st.Unindexed++
-			short = append(short, cand)
+			short = append(short, i)
 		default:
-			rest = append(rest, Result{Name: cand.Name, Pruned: true})
+			rest = append(rest, Result{Name: name, Pruned: true})
 		}
 	}
 	st.ShortlistSize = len(short)
 
-	out, err := RankPreparedContext(ctx, example, short, opt)
+	out, err := rank(short)
 	if err != nil {
 		return nil, st, err
 	}

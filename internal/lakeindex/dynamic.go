@@ -1,39 +1,36 @@
 package lakeindex
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // Dynamic is a sketch index whose candidate set churns: the resident
 // registry of instcmp-serve adds a sketch when an instance is registered and
 // removes it when the instance is deleted, and concurrent /rank requests
 // probe it the whole time.
 //
-// It follows the registry's RWMutex discipline (DESIGN.md §13): the maps are
-// touched only under mu, probes take the read lock and never block each
-// other, and the expensive work — sketching an instance — happens outside
-// any lock (the caller builds the Sketch first, Add only links it in).
-// Alongside the maps it keeps a sorted name slice, so the widened probe path
-// iterates deterministically without ranging over a map.
+// It keeps Index's positional layout and runs the same probe (shortlist);
+// only the mutation differs. It follows the registry's RWMutex discipline
+// (DESIGN.md §13): the fields are touched only under mu, probes take the
+// read lock and never block each other, and the expensive work — sketching
+// an instance — happens outside any lock (the caller builds the Sketch
+// first, Add only links it in).
 type Dynamic struct {
 	mu sync.RWMutex
-	// sketches maps candidate name → sketch.
-	sketches map[string]*Sketch
-	// buckets is the inverted index: band bucket key → names, in insertion
-	// order. Removal recomputes the sketch's band keys and filters exactly
-	// those buckets, so churn cost is O(Bands · bucket size).
-	buckets map[uint64][]string
-	// names mirrors the sketches keys in sorted order for deterministic
-	// widened scans.
-	names []string
+	// entries holds the live candidates in no particular order; byName maps
+	// a name to its position. Remove moves the last entry into the freed
+	// slot, so positions stay dense.
+	entries []Entry
+	byName  map[string]int32
+	// buckets is the inverted index: band bucket key → entry positions.
+	// Churn touches only the band buckets of the removed and the moved
+	// entry, so it costs O(Bands · bucket size).
+	buckets map[uint64][]int32
 }
 
 // NewDynamic returns an empty dynamic index.
 func NewDynamic() *Dynamic {
 	return &Dynamic{
-		sketches: make(map[string]*Sketch),
-		buckets:  make(map[uint64][]string),
+		byName:  make(map[string]int32),
+		buckets: make(map[uint64][]int32),
 	}
 }
 
@@ -41,14 +38,14 @@ func NewDynamic() *Dynamic {
 func (d *Dynamic) Len() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return len(d.sketches)
+	return len(d.entries)
 }
 
 // Contains reports whether the name is indexed.
 func (d *Dynamic) Contains(name string) bool {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	_, ok := d.sketches[name]
+	_, ok := d.byName[name]
 	return ok
 }
 
@@ -59,41 +56,41 @@ func (d *Dynamic) Add(name string, sk *Sketch) {
 	keys := sk.BandKeys()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, dup := d.sketches[name]; dup {
-		d.removeLocked(name)
+	if i, dup := d.byName[name]; dup {
+		d.removeLocked(i)
 	}
-	d.sketches[name] = sk
+	i := int32(len(d.entries))
+	d.entries = append(d.entries, Entry{Name: name, Sketch: sk})
+	d.byName[name] = i
 	for _, key := range keys {
-		d.buckets[key] = append(d.buckets[key], name)
+		d.buckets[key] = append(d.buckets[key], i)
 	}
-	i := sort.SearchStrings(d.names, name)
-	d.names = append(d.names, "")
-	copy(d.names[i+1:], d.names[i:])
-	d.names[i] = name
 }
 
 // Remove unindexes the name and reports whether it was indexed.
 func (d *Dynamic) Remove(name string) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, ok := d.sketches[name]; !ok {
+	i, ok := d.byName[name]
+	if !ok {
 		return false
 	}
-	d.removeLocked(name)
+	d.removeLocked(i)
 	return true
 }
 
-// removeLocked drops the name from the sketch map, its band buckets, and the
-// sorted name slice. Caller holds the write lock.
-func (d *Dynamic) removeLocked(name string) {
-	sk := d.sketches[name]
-	delete(d.sketches, name)
-	for _, key := range sk.BandKeys() {
+// removeLocked drops the entry at position i from the name map and its band
+// buckets, then moves the last entry into the freed slot and rewrites that
+// entry's bucket positions. Caller holds the write lock.
+func (d *Dynamic) removeLocked(i int32) {
+	gone := d.entries[i]
+	delete(d.byName, gone.Name)
+	for _, key := range gone.Sketch.BandKeys() {
 		bucket := d.buckets[key]
 		kept := bucket[:0]
-		for _, n := range bucket {
-			if n != name {
-				kept = append(kept, n)
+		for _, p := range bucket {
+			if p != i {
+				kept = append(kept, p)
 			}
 		}
 		if len(kept) == 0 {
@@ -102,44 +99,29 @@ func (d *Dynamic) removeLocked(name string) {
 			d.buckets[key] = kept
 		}
 	}
-	if i := sort.SearchStrings(d.names, name); i < len(d.names) && d.names[i] == name {
-		d.names = append(d.names[:i], d.names[i+1:]...)
+	last := int32(len(d.entries) - 1)
+	if i != last {
+		moved := d.entries[last]
+		d.entries[i] = moved
+		d.byName[moved.Name] = i
+		for _, key := range moved.Sketch.BandKeys() {
+			bucket := d.buckets[key]
+			for j, p := range bucket {
+				if p == last {
+					bucket[j] = i
+				}
+			}
+		}
 	}
+	d.entries[last] = Entry{} // drop the sketch reference
+	d.entries = d.entries[:last]
 }
 
 // Shortlist implements Searcher over the live candidate set. The returned
 // hits are a consistent snapshot: the read lock is held across the whole
 // probe, so a concurrent Register/Delete orders entirely before or after it.
 func (d *Dynamic) Shortlist(q *Sketch, target int) ([]Hit, ProbeStats) {
-	keys := q.BandKeys()
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	if target <= 0 || target > len(d.sketches) {
-		target = len(d.sketches)
-	}
-	var st ProbeStats
-	seen := make(map[string]bool, 2*target)
-	cands := make([]string, 0, 2*target)
-	for _, key := range keys {
-		for _, name := range d.buckets[key] {
-			if !seen[name] {
-				seen[name] = true
-				cands = append(cands, name)
-			}
-		}
-	}
-	st.Probed = len(cands)
-	if len(cands) < target {
-		st.Widened = true
-		cands = d.names
-	}
-	hits := make([]Hit, 0, len(cands))
-	for _, name := range cands {
-		hits = append(hits, Hit{Name: name, Estimate: q.Estimate(d.sketches[name])})
-	}
-	sortHits(hits)
-	if len(hits) > target {
-		hits = hits[:target]
-	}
-	return hits, st
+	return shortlist(q, target, d.entries, d.buckets)
 }

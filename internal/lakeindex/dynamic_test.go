@@ -2,6 +2,7 @@ package lakeindex
 
 import (
 	"math/rand"
+	"reflect"
 	"strconv"
 	"sync"
 	"testing"
@@ -35,46 +36,101 @@ func TestDynamicAddRemoveReplace(t *testing.T) {
 	}
 	// All buckets must be gone, or churn would leak memory in a long-running
 	// registry.
-	if len(d.buckets) != 0 || len(d.names) != 0 {
-		t.Errorf("leftovers after removal: %d buckets, %d names", len(d.buckets), len(d.names))
+	if len(d.entries) != 0 || len(d.byName) != 0 || len(d.buckets) != 0 {
+		t.Errorf("leftovers after removal: %d entries, %d names, %d buckets",
+			len(d.entries), len(d.byName), len(d.buckets))
 	}
 }
 
 func TestDynamicMatchesStaticIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	entries, query := syntheticLake(200, 10, rng)
-	ix, err := Build(entries)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := NewSketch(query)
 	d := NewDynamic()
-	// Insert in shuffled order with some churn: every candidate gets added,
-	// a third are removed and re-added.
+	// check holds the dynamic index to a static index built over the same
+	// live set: same layout invariants, same hits, same probe statistics.
+	check := func(stage string, live []Entry) {
+		t.Helper()
+		checkDynamicLayout(t, d)
+		ix, err := Build(live)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Len() != ix.Len() {
+			t.Fatalf("%s: Len: dynamic %d vs static %d", stage, d.Len(), ix.Len())
+		}
+		for _, target := range []int{10, 40, 0} {
+			want, wantSt := ix.Shortlist(q, target)
+			have, haveSt := d.Shortlist(q, target)
+			if haveSt != wantSt {
+				t.Errorf("%s, target %d: probe stats dynamic %+v vs static %+v", stage, target, haveSt, wantSt)
+			}
+			if len(want) != len(have) {
+				t.Fatalf("%s, target %d: %d vs %d hits", stage, target, len(have), len(want))
+			}
+			for i := range want {
+				if want[i] != have[i] {
+					t.Errorf("%s, target %d: hit[%d] dynamic %+v vs static %+v", stage, target, i, have[i], want[i])
+				}
+			}
+		}
+	}
+
+	// Insert in shuffled order, then remove every third inserted candidate:
+	// each of those sits in the middle of the entries slice, so every
+	// removal moves the last entry into the freed slot.
 	perm := rng.Perm(len(entries))
 	for _, i := range perm {
 		d.Add(entries[i].Name, entries[i].Sketch)
 	}
-	for i := 0; i < len(entries); i += 3 {
-		d.Remove(entries[i].Name)
-	}
-	for i := 0; i < len(entries); i += 3 {
-		d.Add(entries[i].Name, entries[i].Sketch)
-	}
-	if d.Len() != ix.Len() {
-		t.Fatalf("Len: dynamic %d vs static %d", d.Len(), ix.Len())
-	}
-
-	q := NewSketch(query)
-	for _, target := range []int{10, 40, 0} {
-		want, _ := ix.Shortlist(q, target)
-		have, _ := d.Shortlist(q, target)
-		if len(want) != len(have) {
-			t.Fatalf("target %d: %d vs %d hits", target, len(have), len(want))
+	check("all added", entries)
+	var live []Entry
+	for k, i := range perm {
+		if k%3 == 0 {
+			d.Remove(entries[i].Name)
+		} else {
+			live = append(live, entries[i])
 		}
-		for i := range want {
-			if want[i] != have[i] {
-				t.Errorf("target %d: hit[%d] dynamic %+v vs static %+v", target, i, have[i], want[i])
+	}
+	check("third removed", live)
+	for k, i := range perm {
+		if k%3 == 0 {
+			d.Add(entries[i].Name, entries[i].Sketch)
+		}
+	}
+	check("re-added", entries)
+}
+
+// checkDynamicLayout verifies the positional layout: byName and entries
+// agree, and every bucket holds exactly the positions whose sketches band
+// into it.
+func checkDynamicLayout(t *testing.T, d *Dynamic) {
+	t.Helper()
+	if len(d.byName) != len(d.entries) {
+		t.Fatalf("byName has %d names for %d entries", len(d.byName), len(d.entries))
+	}
+	want := make(map[uint64]map[int32]int)
+	for i, e := range d.entries {
+		if p, ok := d.byName[e.Name]; !ok || p != int32(i) {
+			t.Fatalf("byName[%q] = %d, %v; entry sits at %d", e.Name, p, ok, i)
+		}
+		for _, key := range e.Sketch.BandKeys() {
+			if want[key] == nil {
+				want[key] = make(map[int32]int)
 			}
+			want[key][int32(i)]++
+		}
+	}
+	if len(d.buckets) != len(want) {
+		t.Fatalf("%d buckets, want %d", len(d.buckets), len(want))
+	}
+	for key, bucket := range d.buckets {
+		have := make(map[int32]int, len(bucket))
+		for _, p := range bucket {
+			have[p]++
+		}
+		if !reflect.DeepEqual(have, want[key]) {
+			t.Fatalf("bucket %x holds %v, want %v", key, have, want[key])
 		}
 	}
 }

@@ -152,20 +152,28 @@ func (ix *Index) Entry(name string) (Entry, bool) {
 	return ix.entries[i], true
 }
 
-// Shortlist implements Searcher: probe the banded buckets, widen to a full
-// sketch scan if banding under-delivers, rank by estimate, truncate.
+// Shortlist implements Searcher over the fixed candidate set.
 func (ix *Index) Shortlist(q *Sketch, target int) ([]Hit, ProbeStats) {
-	if target <= 0 || target > len(ix.entries) {
-		target = len(ix.entries)
+	return shortlist(q, target, ix.entries, ix.buckets)
+}
+
+// shortlist is the one probe both Index and Dynamic run over their shared
+// positional layout (entries plus a band bucket → positions inverted index):
+// probe the banded buckets, widen to a full sketch scan if banding
+// under-delivers, rank by estimate, truncate. Candidate order inside the
+// probe never reaches the output: sortHits is a total order over distinct
+// names.
+func shortlist(q *Sketch, target int, entries []Entry, buckets map[uint64][]int32) ([]Hit, ProbeStats) {
+	if target <= 0 || target > len(entries) {
+		target = len(entries)
 	}
 	var st ProbeStats
 	// Band probe: every candidate sharing at least one band bucket with the
-	// query. seen is positional, so dedup needs no map iteration and the
-	// candidate list comes out in deterministic entry order.
-	seen := make([]bool, len(ix.entries))
+	// query. seen is positional, so dedup needs no map.
+	seen := make([]bool, len(entries))
 	cands := make([]int32, 0, 2*target)
 	for _, key := range q.BandKeys() {
-		for _, i := range ix.buckets[key] {
+		for _, i := range buckets[key] {
 			if !seen[i] {
 				seen[i] = true
 				cands = append(cands, i)
@@ -178,13 +186,13 @@ func (ix *Index) Shortlist(q *Sketch, target int) ([]Hit, ProbeStats) {
 		// subset of "everything", so this strictly widens the shortlist.
 		st.Widened = true
 		cands = cands[:0]
-		for i := range ix.entries {
+		for i := range entries {
 			cands = append(cands, int32(i))
 		}
 	}
 	hits := make([]Hit, 0, len(cands))
 	for _, i := range cands {
-		e := &ix.entries[i]
+		e := &entries[i]
 		hits = append(hits, Hit{Name: e.Name, Estimate: q.Estimate(e.Sketch)})
 	}
 	sortHits(hits)

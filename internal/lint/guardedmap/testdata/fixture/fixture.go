@@ -90,8 +90,8 @@ func (c *counterOnly) bump() {
 	c.mu.Unlock()
 }
 
-// invindex mirrors lakeindex.Dynamic: a sketch map plus an inverted bucket
-// map behind one RWMutex, with a sorted mirror slice.
+// invindex is shaped like lakeindex.Dynamic: a name map plus an inverted
+// bucket map behind one RWMutex, with a slice alongside.
 type invindex struct {
 	mu       sync.RWMutex
 	sketches map[string]int

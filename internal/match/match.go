@@ -83,8 +83,8 @@ type Env struct {
 	Left, Right *model.Instance
 	LRels       []*model.Relation
 	RRels       []*model.Relation
-	// LCode and RCode are the integer-coded images of LRels and RRels,
-	// built once by NewEnv over the shared interner In.
+	// LCode and RCode are the integer-coded images of LRels and RRels in
+	// the shared interner In's ID space.
 	LCode, RCode []*model.CodedRelation
 	In           *model.Interner
 	U            *unify.Unifier
@@ -101,9 +101,8 @@ type Env struct {
 	rightImg [][]Ref // flat right index -> matched left refs
 
 	// attrOrders holds each relation's lexicographic attribute order
-	// (model.AttrOrder), filled eagerly by both constructors. Environments
-	// built from prepared sides alias the PreparedSide's slice, so the
-	// contents are shared read-only state and must never be mutated.
+	// (model.AttrOrder), aliased from the left PreparedSide: the contents
+	// are shared read-only state and must never be mutated.
 	attrOrders [][]int
 
 	// Stats counts the match-construction work done through this
@@ -151,62 +150,21 @@ var ErrTooManyAttributes = errors.New("match: relations with more than 64 attrib
 
 // NewEnv validates the comparison preconditions, interns both instances into
 // the integer-coded representation, and returns a fresh environment with an
-// empty tuple mapping.
+// empty tuple mapping. It is PrepareSide on each side followed by
+// NewEnvPrepared: the one-shot and the prepared path build one environment.
 func NewEnv(left, right *model.Instance, mode Mode) (*Env, error) {
 	if !model.SameSchema(left, right) {
 		return nil, ErrSchemaMismatch
 	}
-	for _, rel := range left.Relations() {
-		if rel.Arity() > 64 {
-			return nil, fmt.Errorf("%w: %s has %d", ErrTooManyAttributes, rel.Name, rel.Arity())
-		}
+	l, err := PrepareSide(left)
+	if err != nil {
+		return nil, err
 	}
-	// Register nulls in sorted order so union-find representatives (and
-	// therefore reported value mappings) are deterministic. Interning goes
-	// by side block — left sorted nulls, left constants in scan order, then
-	// the right side the same way — so that one side's coding is a pure
-	// function of that instance alone. That per-side layout is what lets
-	// NewEnvPrepared adopt a PreparedSide's self-coding verbatim for the
-	// left block and remap the right block through a translation table,
-	// while staying bit-identical to this constructor.
-	in := model.NewInterner()
-	u := unify.NewInterned(in)
-	for _, v := range left.SortedVars() {
-		u.AddNull(v, unify.Left)
+	r, err := PrepareSide(right)
+	if err != nil {
+		return nil, err
 	}
-	e := &Env{
-		Left:  left,
-		Right: right,
-		LRels: left.Relations(),
-		RRels: right.Relations(),
-		In:    in,
-		U:     u,
-		Mode:  mode,
-	}
-	code := func(rels []*model.Relation) []*model.CodedRelation {
-		codes := make([]*model.CodedRelation, len(rels))
-		for i, rel := range rels {
-			codes[i] = in.Code(rel)
-		}
-		return codes
-	}
-	e.LCode = code(e.LRels)
-	for _, v := range right.SortedVars() {
-		if u.Registered(v) {
-			return nil, fmt.Errorf("%w: %v", ErrSharedNulls, v)
-		}
-		u.AddNull(v, unify.Right)
-	}
-	e.RCode = code(e.RRels)
-	e.lBase, e.nL = flatBases(e.LRels)
-	e.rBase, e.nR = flatBases(e.RRels)
-	e.attrOrders = make([][]int, len(e.LRels))
-	for i, rel := range e.LRels {
-		e.attrOrders[i] = model.AttrOrder(rel)
-	}
-	e.leftImg = make([][]Ref, e.nL)
-	e.rightImg = make([][]Ref, e.nR)
-	return e, nil
+	return NewEnvPrepared(l, r, mode)
 }
 
 // AttrOrder returns the cached lexicographic attribute order of a relation

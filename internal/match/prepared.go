@@ -13,12 +13,11 @@ package match
 // self-coding is adopted verbatim (its interner is cloned, one map copy over
 // the distinct values), and the right side's distinct values are interned
 // into the clone in self-ID order, yielding a translation table that remaps
-// the right side's coded rows with a flat int32 rewrite. Because NewEnv
-// interns in exactly the same order — left sorted nulls, left constants in
-// scan order, right sorted nulls, right constants in scan order — the joint
-// interner, the coded rows, and therefore every downstream decision are
-// bit-identical between the one-shot and the prepared path (pinned by the
-// prepared-equivalence suite and the regress goldens).
+// the right side's coded rows with a flat int32 rewrite. Each side interns
+// its sorted nulls first, so union-find representatives (and therefore
+// reported value mappings) are deterministic. The one-shot NewEnv prepares
+// both sides and calls NewEnvPrepared, so both paths build the same
+// environment by construction.
 
 import (
 	"fmt"
@@ -102,9 +101,7 @@ func (p *PreparedSide) WithRelations(inst *model.Instance) *PreparedSide {
 // NewEnvPrepared assembles a comparison environment from two prepared
 // sides, reusing their codings: the left side's coded relations are aliased
 // as-is, the right side's are remapped into the joint ID space through one
-// translation table. The result is indistinguishable from
-// NewEnv(l.Inst, r.Inst, mode) — same interner contents, same coded rows,
-// same unifier registrations — at a fraction of the cost.
+// translation table.
 func NewEnvPrepared(l, r *PreparedSide, mode Mode) (*Env, error) {
 	if !model.SameSchema(l.Inst, r.Inst) {
 		return nil, ErrSchemaMismatch
@@ -120,8 +117,8 @@ func NewEnvPrepared(l, r *PreparedSide, mode Mode) (*Env, error) {
 		u.AddNullID(model.ValueID(i), unify.Left)
 	}
 	// Extend the joint space with the right side's values in self-ID order
-	// (sorted nulls first, then constants in scan order — the same
-	// introduction sequence NewEnv produces), recording the translation.
+	// (sorted nulls first, then constants in scan order), recording the
+	// translation.
 	table := make([]model.ValueID, r.In.Len())
 	for id := range table {
 		table[id] = in.Intern(r.In.ValueOf(model.ValueID(id)))

@@ -97,7 +97,7 @@ type CodedRelation struct {
 
 // Code interns every cell of the relation and returns its coded image.
 // Relations wider than 64 attributes cannot be mask-coded; callers validate
-// arity beforehand (match.NewEnv does).
+// arity beforehand (match.PrepareSide does).
 func (in *Interner) Code(rel *Relation) *CodedRelation {
 	c := &CodedRelation{
 		Arity: rel.Arity(),
