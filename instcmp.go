@@ -346,37 +346,27 @@ func CompareContext(ctx context.Context, left, right *Instance, opt *Options) (*
 		return nil, err
 	}
 	start := time.Now()
-	var lp, rp *Prepared
-	var err error
+	var l, r *Instance
 	switch {
-	case !model.SameSchema(left, right) && opt.DiscoverMapping:
-		// Mapping discovery rewrites the right side inside comparePrepared
-		// (the prepared path needs the same treatment); just snapshot here.
-		if lp, err = prepareOwned(left.Clone()); err != nil {
-			return nil, err
-		}
-		if rp, err = prepareOwned(right.Clone()); err != nil {
-			return nil, err
-		}
-	case !model.SameSchema(left, right) && opt.AlignSchemas:
+	case model.SameSchema(left, right) || opt.DiscoverMapping:
+		// Snapshot both sides. Mapping discovery rewrites the right side
+		// inside comparePrepared (the prepared path needs the same
+		// treatment).
+		l, r = left.Clone(), right.Clone()
+	case opt.AlignSchemas:
 		// alignSchemas rebuilds both sides from scratch, so the rebuilt
 		// instances are owned outright — no defensive clone needed.
-		al, ar := alignSchemas(left, right)
-		if lp, err = prepareOwned(al); err != nil {
-			return nil, err
-		}
-		if rp, err = prepareOwned(ar); err != nil {
-			return nil, err
-		}
-	case !model.SameSchema(left, right):
-		return nil, match.ErrSchemaMismatch
+		l, r = alignSchemas(left, right)
 	default:
-		if lp, err = prepareOwned(left.Clone()); err != nil {
-			return nil, err
-		}
-		if rp, err = prepareOwned(right.Clone()); err != nil {
-			return nil, err
-		}
+		return nil, match.ErrSchemaMismatch
+	}
+	lp, err := prepareOwned(l)
+	if err != nil {
+		return nil, err
+	}
+	rp, err := prepareOwned(r)
+	if err != nil {
+		return nil, err
 	}
 	return comparePrepared(ctx, lp, rp, opt, start)
 }

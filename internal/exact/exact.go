@@ -3,14 +3,16 @@
 // compatible tuple pairs (Alg. 2), keep the consistent ones, and return the
 // instance match with the maximum Def. 5.3 score.
 //
-// The enumeration is organized as a depth-first branch-and-bound search.
-// In the functional (left-injective) modes the search assigns to each left
-// tuple one compatible partner or none; in the general mode it
-// includes/excludes each compatible pair. A global unifier detects value-
-// mapping inconsistencies between pairs (the paper's step 2) and is rolled
-// back on backtracking. The instance-comparison problem is NP-hard
-// (Thm. 5.11), so the search carries a node/time budget; results indicate
-// whether the search space was exhausted.
+// The enumeration is one depth-first branch-and-bound walk over levels of
+// the flat compatible-pair list: each level commits one of its pairs or
+// none. Only the level layout depends on the mode. In the functional
+// (left-injective) modes a level is one left tuple's candidate partners;
+// in the general mode a level is a single pair, included or excluded. A
+// global unifier detects value-mapping inconsistencies between pairs (the
+// paper's step 2) and is rolled back on backtracking. The
+// instance-comparison problem is NP-hard (Thm. 5.11), so the search
+// carries a node/time budget; results indicate whether the search space
+// was exhausted.
 //
 // Two engine-level accelerations sit on top of the plain DFS, neither of
 // which changes the returned score (see DESIGN.md §9 for the argument):
@@ -20,16 +22,17 @@
 //     order so its score is bit-identical to the corresponding leaf's —
 //     seeds the incumbent, so the suffix bounds prune from node 1 instead
 //     of only after the first full descent.
-//   - Parallel search: the tree is cut at a configurable prefix depth into
-//     independent subtree tasks executed by workers that own cloned
-//     environments; the incumbent is shared through an atomic
-//     bits-of-float64 CAS and task results are reduced in canonical task
-//     order, so the worker count never changes the returned score.
+//   - Parallel search: the same walk, stopped at a prefix depth, enumerates
+//     subtree tasks (the committed pair indices of each prefix); workers
+//     that own cloned environments replay a task and walk on from there.
+//     The incumbent is shared through an atomic bits-of-float64 CAS and
+//     task results are reduced in canonical task order, so the worker
+//     count never changes the returned score.
 //
 // The search runs on the comparison's integer-coded rows: candidate
 // generation probes compat.CodedIndex, the static per-pair bounds read
 // ValueIDs and precomputed ground masks, and the suffix bounds accumulate
-// in flat arrays indexed by flattened tuple position.
+// in a flat array indexed by level.
 package exact
 
 import (
@@ -93,9 +96,10 @@ type Options struct {
 	// Lambda is the null-to-constant penalty of Def. 5.5.
 	Lambda float64
 	// MaxNodes bounds the number of search-tree nodes (0 = no bound).
-	// Under parallel execution the bound is enforced within one flush
-	// batch per worker (workers publish node counts every nodeFlushBatch
-	// nodes); with Workers = 1 it is exact, as before.
+	// With Workers = 1 it is exact: the one searcher counts every node and
+	// stops at the first node past the bound. Under parallel execution it
+	// is enforced within one flush batch per worker (workers publish node
+	// counts every nodeFlushBatch nodes); task enumeration counts as solo.
 	MaxNodes int64
 	// Timeout bounds wall-clock time (0 = no bound). The warm-start
 	// signature run is polynomial and not counted against it.
@@ -105,14 +109,15 @@ type Options struct {
 	// worker count; only wall-clock time (and, under a budget, how much
 	// of the space gets explored) changes.
 	Workers int
-	// SplitDepth is the prefix depth at which the search tree is cut into
-	// subtree tasks when more than one worker runs (0 = automatic: the
-	// shallowest depth whose decision count reaches ~8 tasks per worker).
-	SplitDepth int
 	// NoWarmStart disables seeding the incumbent with the signature
 	// algorithm's match (ablation switch; the warm start never changes
 	// the returned score, only how fast the search converges).
 	NoWarmStart bool
+
+	// splitDepth overrides the level at which a parallel search cuts the
+	// tree into subtree tasks (0 = automatic, see autoSplitDepth). Only
+	// the package's tests set it, to cover the extreme depths.
+	splitDepth int
 }
 
 // Result is the outcome of an exact search.
@@ -208,14 +213,14 @@ func RunEnv(ctx context.Context, env *match.Env, opt Options) (*Result, error) {
 	case sh.stop.Load():
 		// Pre-tripped: nothing to search.
 	case workers == 1:
-		s := &searcher{p: p, sh: sh, env: env, solo: true, best: best}
-		s.search(0)
+		s := &searcher{p: p, sh: sh, env: env, solo: true, best: best, cut: p.levels()}
+		s.walk(0)
 		s.publish()
 		if s.best > best {
 			best, bestPairs = s.best, s.bestPairs
 		}
 	default:
-		for _, tr := range searchParallel(env, p, sh, best, workers, opt.SplitDepth) {
+		for _, tr := range searchParallel(env, p, sh, best, workers, opt.splitDepth) {
 			if tr.score > best {
 				best, bestPairs = tr.score, tr.pairs
 			}
@@ -272,42 +277,22 @@ func statKey(reason string) string {
 // worker.
 type problem struct {
 	lambda float64
-	// functional selects the per-left-tuple search; general mode works on
-	// the flat pair list.
-	functional bool
-	// Functional search state: per left tuple, its candidate partners,
-	// indexed by flattened left-tuple position.
-	lefts []leftChoice
-	// General search state: the flattened compatible pair list.
-	pairs []match.Pair
-	// pairOpt[i] is the optimistic score of pairs[i].
+	// pairs is the flat compatible pair list in left-tuple order, each
+	// left tuple's candidates sorted by affinity; pairOpt[k] is the
+	// optimistic score of pairs[k].
+	pairs   []match.Pair
 	pairOpt []float64
-	// suffix[i] is an upper bound on the numerator contribution still
-	// obtainable from pairs[i:] (general mode).
+	// start cuts pairs into the search levels: level j commits one of
+	// pairs[start[j]:start[j+1]] or none of them.
+	start []int
+	// suffix[j] is an upper bound on the numerator contribution still
+	// obtainable from levels j and deeper.
 	suffix []float64
-	// leftSuffix[i] bounds the contribution of lefts[i:] (functional).
-	leftSuffix []float64
-	denom      float64
+	denom  float64
 }
 
 // levels returns the depth of the full search tree.
-func (p *problem) levels() int {
-	if p.functional {
-		return len(p.lefts)
-	}
-	return len(p.pairs)
-}
-
-type leftChoice struct {
-	ref   match.Ref
-	cands []match.Ref
-	// opts[i] is the optimistic score of matching cands[i].
-	opts  []float64
-	arity float64
-	// bestOpt is the largest optimistic pair score among the candidates:
-	// an upper bound on what matching this tuple can contribute per side.
-	bestOpt float64
-}
+func (p *problem) levels() int { return len(p.start) - 1 }
 
 // shared is the cross-worker mutable state: the incumbent, the aggregated
 // node count, and the budget trip-wire.
@@ -368,12 +353,22 @@ func (sh *shared) offer(sc float64) {
 }
 
 // searcher is one search executor: the solo searcher of a single-threaded
-// run (and of task enumeration), or one parallel worker. It owns an
-// environment; everything else is shared.
+// run, the task enumerator of a parallel one, or one parallel worker. It
+// owns an environment; everything else is shared.
 type searcher struct {
 	p   *problem
 	sh  *shared
 	env *match.Env
+	// cut is the level at which walk stops descending: p.levels() for a
+	// search, the split depth for the task enumerator.
+	cut int
+	// emit, set only on the task enumerator, receives the committed pair
+	// indices of every prefix that reaches the cut; other searchers
+	// evaluate the leaf there instead.
+	emit func(path []int)
+	// path holds the indices into p.pairs of the pairs walk committed on
+	// the way to the current node.
+	path []int
 	// committedUB is a running upper bound on the numerator contribution
 	// of the pairs currently in the environment (2 x optimistic score
 	// each), maintained incrementally.
@@ -508,69 +503,43 @@ func (s *searcher) evaluate() {
 	}
 }
 
-// search runs the mode's DFS from level i on the current environment.
-func (s *searcher) search(i int) {
-	if s.p.functional {
-		s.searchFunctional(i)
-	} else {
-		s.searchGeneral(i)
-	}
-}
-
-// searchFunctional assigns each left tuple (in order) one candidate or none.
-// Right-injectivity, when required by the mode, is enforced by TryAddPair.
-func (s *searcher) searchFunctional(i int) {
+// walk is the branch-and-bound DFS from level i on the current
+// environment: each level commits one of its pairs, in order, or none.
+// Right-injectivity and the mode's other constraints are enforced by
+// TryAddPair; the none branch comes last because Def. 5.3 can prefer
+// leaving a tuple out.
+func (s *searcher) walk(i int) {
 	if s.budgetExceeded() {
 		return
 	}
-	if i == len(s.p.lefts) {
-		s.evaluate()
+	if i == s.cut {
+		if s.emit != nil {
+			s.emit(s.path)
+		} else {
+			s.evaluate()
+		}
 		return
 	}
 	// Optimistic bound: committed pairs contribute at most their
-	// optimistic scores (⊓ growth only lowers them), remaining left
-	// tuples at most 2·bestOpt each.
-	if s.p.denom > 0 && (s.committedUB+s.p.leftSuffix[i])/s.p.denom <= s.incumbent() {
-		s.prunes++
-		return
-	}
-	lc := &s.p.lefts[i]
-	for ci, r := range lc.cands {
-		m := s.env.Mark()
-		if s.env.TryAddPair(match.Pair{L: lc.ref, R: r}) {
-			opt := 2 * lc.opts[ci]
-			s.committedUB += opt
-			s.searchFunctional(i + 1)
-			s.committedUB -= opt
-			s.env.Undo(m)
-		}
-	}
-	// The unmatched branch: Def. 5.3 can prefer leaving a tuple out.
-	s.searchFunctional(i + 1)
-}
-
-// searchGeneral includes or excludes each compatible pair.
-func (s *searcher) searchGeneral(i int) {
-	if s.budgetExceeded() {
-		return
-	}
-	if i == len(s.p.pairs) {
-		s.evaluate()
-		return
-	}
+	// optimistic scores (⊓ growth only lowers them), the remaining levels
+	// at most suffix[i].
 	if s.p.denom > 0 && (s.committedUB+s.p.suffix[i])/s.p.denom <= s.incumbent() {
 		s.prunes++
 		return
 	}
-	m := s.env.Mark()
-	if s.env.TryAddPair(s.p.pairs[i]) {
-		opt := 2 * s.p.pairOpt[i]
-		s.committedUB += opt
-		s.searchGeneral(i + 1)
-		s.committedUB -= opt
-		s.env.Undo(m)
+	for k := s.p.start[i]; k < s.p.start[i+1]; k++ {
+		m := s.env.Mark()
+		if s.env.TryAddPair(s.p.pairs[k]) {
+			opt := 2 * s.p.pairOpt[k]
+			s.committedUB += opt
+			s.path = append(s.path, k)
+			s.walk(i + 1)
+			s.path = s.path[:len(s.path)-1]
+			s.committedUB -= opt
+			s.env.Undo(m)
+		}
 	}
-	s.searchGeneral(i + 1)
+	s.walk(i + 1)
 }
 
 // optScore is a static upper bound on a pair's Def. 5.5 score within any
@@ -594,8 +563,11 @@ func optScore(lrow, rrow []model.ValueID, lmask, rmask uint64, lambda float64) f
 	return s
 }
 
-// newProblem runs CompatibleTuples per relation and prepares the search
-// structures for the environment's mode. Cancellation is polled every
+// newProblem runs CompatibleTuples per relation and lays the candidate
+// pairs out as search levels. It is the only place that knows the mode:
+// the functional (left-injective) modes give each left tuple one level of
+// its candidates, the general mode gives each pair a level of its own
+// (include or exclude). Cancellation is polled every
 // soloPollInterval left rows — candidate generation is quadratic and can
 // dominate short deadlines. A canceled build stops enumerating but still
 // produces internally consistent (truncated) structures; RunEnv never
@@ -603,16 +575,17 @@ func optScore(lrow, rrow []model.ValueID, lmask, rmask uint64, lambda float64) f
 // check trips first.
 func newProblem(ctx context.Context, env *match.Env, lambda float64) *problem {
 	p := &problem{
-		lambda:     lambda,
-		functional: env.Mode.LeftInjective,
-		denom:      float64(env.Left.Size() + env.Right.Size()),
+		lambda: lambda,
+		denom:  float64(env.Left.Size() + env.Right.Size()),
 	}
+	// bestOpt[j] is the largest optimistic score among left tuple j's
+	// candidates: the most matching it can contribute per side.
+	var bestOpt []float64
 	rows := 0
 build:
 	for ri := range env.LRels {
 		lcode, rcode := env.LCode[ri], env.RCode[ri]
 		pr := compat.NewCodedIndex(rcode, nil, env.In).NewProber()
-		arity := float64(lcode.Arity)
 		for li := 0; li < lcode.Rows(); li++ {
 			if rows%soloPollInterval == 0 && ctx.Err() != nil {
 				break build
@@ -630,33 +603,34 @@ build:
 				return sharedConsts(lrow, rcode.Row(cs[a]), lmask&rcode.Masks[cs[a]]) >
 					sharedConsts(lrow, rcode.Row(cs[b]), lmask&rcode.Masks[cs[b]])
 			})
-			lc := leftChoice{ref: lref, arity: arity}
-			lc.cands = make([]match.Ref, len(cs))
-			lc.opts = make([]float64, len(cs))
-			for i, ci := range cs {
-				lc.cands[i] = match.Ref{Rel: ri, Idx: ci}
+			p.start = append(p.start, len(p.pairs))
+			best := 0.0
+			for _, ci := range cs {
 				opt := optScore(lrow, rcode.Row(ci), lmask, rcode.Masks[ci], lambda)
-				lc.opts[i] = opt
-				if opt > lc.bestOpt {
-					lc.bestOpt = opt
-				}
-				p.pairs = append(p.pairs, match.Pair{L: lref, R: lc.cands[i]})
+				best = max(best, opt)
+				p.pairs = append(p.pairs, match.Pair{L: lref, R: match.Ref{Rel: ri, Idx: ci}})
 				p.pairOpt = append(p.pairOpt, opt)
 			}
-			p.lefts = append(p.lefts, lc)
+			bestOpt = append(bestOpt, best)
 		}
 	}
-	// Suffix bound for the functional search: matching lefts[j] adds at
-	// most 2·bestOpt to the numerator (its own tuple score plus its
-	// partner's).
-	p.leftSuffix = make([]float64, len(p.lefts)+1)
-	for i := len(p.lefts) - 1; i >= 0; i-- {
-		p.leftSuffix[i] = p.leftSuffix[i+1] + 2*p.lefts[i].bestOpt
+	p.start = append(p.start, len(p.pairs))
+	if env.Mode.LeftInjective {
+		// One level per left tuple: matching it adds at most 2·bestOpt to
+		// the numerator (its own tuple score plus its partner's).
+		p.suffix = make([]float64, len(bestOpt)+1)
+		for j := len(bestOpt) - 1; j >= 0; j-- {
+			p.suffix[j] = p.suffix[j+1] + 2*bestOpt[j]
+		}
+		return p
 	}
-	// Suffix bound for the general search: a pair can contribute at most
-	// its optimistic score to each endpoint's tuple score, but tuples
-	// repeat across pairs, so count each tuple's best remaining pair
-	// only.
+	// One level per pair. A pair can contribute at most its optimistic
+	// score to each endpoint's tuple score, but tuples repeat across
+	// pairs, so count each tuple's best remaining pair only.
+	p.start = make([]int, len(p.pairs)+1)
+	for k := range p.start {
+		p.start[k] = k
+	}
 	p.suffix = make([]float64, len(p.pairs)+1)
 	bestL := make([]float64, env.NumLeftTuples())
 	bestR := make([]float64, env.NumRightTuples())
@@ -691,13 +665,13 @@ func sharedConsts(a, b []model.ValueID, both uint64) int {
 
 // warmStart runs the signature algorithm on the search's own environment
 // and converts its match into an incumbent. The pairs are re-inserted in
-// the search's canonical order (left-tuple order in the functional modes,
-// candidate-pair order in the general mode), so the incumbent score is
-// bit-identical to the score evaluate() would produce at the corresponding
-// leaf — which is what keeps warm-started scores equal to cold ones. The
-// environment is returned with an empty mapping either way. The context
-// bounds the signature run itself; a canceled warm start still seeds the
-// partial match it grew (any prefix of the greedy match is valid).
+// the search's canonical order (their order in p.pairs), so the incumbent
+// score is bit-identical to the score evaluate() would produce at the
+// corresponding leaf — which is what keeps warm-started scores equal to
+// cold ones. The environment is returned with an empty mapping either way.
+// The context bounds the signature run itself; a canceled warm start still
+// seeds the partial match it grew (any prefix of the greedy match is
+// valid).
 func warmStart(ctx context.Context, env *match.Env, p *problem) (pairs []match.Pair, sc float64, st *signature.Stats, ok bool) {
 	m := env.Mark()
 	sig, err := signature.RunEnv(ctx, env, signature.Options{Lambda: p.lambda})
@@ -707,7 +681,7 @@ func warmStart(ctx context.Context, env *match.Env, p *problem) (pairs []match.P
 	}
 	canon := append([]match.Pair(nil), env.Pairs()...)
 	env.Undo(m)
-	if !p.canonicalize(env, canon) {
+	if !p.canonicalize(canon) {
 		return nil, 0, nil, false
 	}
 	if !env.Replay(canon) {
@@ -727,50 +701,23 @@ func warmStart(ctx context.Context, env *match.Env, p *problem) (pairs []match.P
 }
 
 // canonicalize sorts a match's pairs into the DFS insertion order of the
-// search and verifies every pair is a known candidate. It reports false
-// when some pair is outside the candidate structures (impossible for a
-// sound CompatibleTuples; checked defensively because the warm start's
-// score equality depends on it).
-func (p *problem) canonicalize(env *match.Env, pairs []match.Pair) bool {
-	if p.functional {
-		//instlint:allow ctxpoll -- one candidate-list scan per warm-start pair, runs once per search; dwarfed by the newProblem build, which does poll
-		for _, pr := range pairs {
-			lc := &p.lefts[env.FlatL(pr.L)]
-			found := false
-			for _, r := range lc.cands {
-				if r == pr.R {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return false
-			}
-		}
-		sort.Slice(pairs, func(a, b int) bool {
-			return env.FlatL(pairs[a].L) < env.FlatL(pairs[b].L)
-		})
-		return true
-	}
-	idx := make(map[match.Pair]int, len(p.pairs))
-	for i, pr := range p.pairs {
-		idx[pr] = i
-	}
+// search, their order in p.pairs, and verifies every pair is a known
+// candidate. It reports false when some pair is outside the candidate list
+// (impossible for a sound CompatibleTuples; checked defensively because
+// the warm start's score equality depends on it).
+func (p *problem) canonicalize(pairs []match.Pair) bool {
+	want := make(map[match.Pair]bool, len(pairs))
 	for _, pr := range pairs {
-		if _, ok := idx[pr]; !ok {
-			return false
+		want[pr] = true
+	}
+	n := 0
+	for _, pr := range p.pairs {
+		if want[pr] {
+			pairs[n] = pr
+			n++
 		}
 	}
-	sort.Slice(pairs, func(a, b int) bool { return idx[pairs[a]] < idx[pairs[b]] })
-	return true
-}
-
-// task is one unit of parallel work: the decision prefix identifying a
-// subtree. In functional mode decisions[j] is the candidate index chosen
-// for left tuple j (-1 = left unmatched); in general mode decisions[j] is
-// 1 to include pair j and 0 to exclude it.
-type task struct {
-	decisions []int32
+	return n == len(pairs)
 }
 
 type taskResult struct {
@@ -779,7 +726,8 @@ type taskResult struct {
 }
 
 // searchParallel cuts the tree at a prefix depth into subtree tasks and
-// runs them on a worker pool. Tasks are enumerated in canonical DFS order
+// runs them on a worker pool. A task is the committed pair indices of one
+// feasible, unpruned prefix. Tasks are enumerated in canonical DFS order
 // and results reduced in that same order, so the outcome is a function of
 // the task results alone, not of scheduling.
 func searchParallel(env *match.Env, p *problem, sh *shared, warm float64, workers, splitDepth int) []taskResult {
@@ -793,11 +741,10 @@ func searchParallel(env *match.Env, p *problem, sh *shared, warm float64, worker
 
 	// Enumerate feasible prefixes on the root environment, pruning with
 	// the warm incumbent; enumeration nodes count against the budget.
-	enum := &searcher{p: p, sh: sh, env: env, solo: true, best: warm}
-	var tasks []task
-	enum.enumerate(0, depth, nil, func(dec []int32) {
-		tasks = append(tasks, task{decisions: append([]int32(nil), dec...)})
-	})
+	var tasks [][]int
+	enum := &searcher{p: p, sh: sh, env: env, solo: true, best: warm, cut: depth,
+		emit: func(path []int) { tasks = append(tasks, append([]int(nil), path...)) }}
+	enum.walk(0)
 	enum.publish()
 	if enum.stopped || len(tasks) == 0 {
 		return nil
@@ -814,13 +761,13 @@ func searchParallel(env *match.Env, p *problem, sh *shared, warm float64, worker
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ws := &searcher{p: p, sh: sh, env: env.Clone()}
+			ws := &searcher{p: p, sh: sh, env: env.Clone(), cut: p.levels()}
 			for {
 				ti := int(next.Add(1)) - 1
 				if ti >= len(tasks) || sh.stop.Load() {
 					break
 				}
-				results[ti] = ws.runTask(tasks[ti])
+				results[ti] = ws.runTask(tasks[ti], depth)
 			}
 			ws.publish()
 			sh.addCloneStats(ws.env.Stats)
@@ -830,7 +777,7 @@ func searchParallel(env *match.Env, p *problem, sh *shared, warm float64, worker
 	return results
 }
 
-// autoSplitDepth picks the shallowest split depth whose decision count
+// autoSplitDepth picks the shallowest split depth whose prefix count
 // reaches about eight tasks per worker, so the pool stays busy without
 // generating an excessive prefix enumeration.
 func (p *problem) autoSplitDepth(workers int) int {
@@ -839,97 +786,29 @@ func (p *problem) autoSplitDepth(workers int) int {
 		target = 16
 	}
 	prod := 1
-	if p.functional {
-		for i := range p.lefts {
-			prod *= len(p.lefts[i].cands) + 1
-			if prod >= target {
-				return i + 1
-			}
-		}
-		return len(p.lefts)
-	}
-	for i := range p.pairs {
-		prod *= 2
+	for j := 0; j < p.levels(); j++ {
+		prod *= p.start[j+1] - p.start[j] + 1
 		if prod >= target {
-			return i + 1
+			return j + 1
 		}
 	}
-	return len(p.pairs)
+	return p.levels()
 }
 
-// enumerate walks the prefix levels of the tree in DFS order, emitting the
-// decision vector of every feasible, unpruned prefix of the given depth
-// (or of a complete assignment, when the tree is shallower).
-func (s *searcher) enumerate(i, depth int, dec []int32, emit func([]int32)) {
-	if s.budgetExceeded() {
-		return
-	}
-	if i == depth || i == s.p.levels() {
-		emit(dec)
-		return
-	}
-	if s.p.functional {
-		if s.p.denom > 0 && (s.committedUB+s.p.leftSuffix[i])/s.p.denom <= s.incumbent() {
-			s.prunes++
-			return
-		}
-		lc := &s.p.lefts[i]
-		for ci, r := range lc.cands {
-			m := s.env.Mark()
-			if s.env.TryAddPair(match.Pair{L: lc.ref, R: r}) {
-				opt := 2 * lc.opts[ci]
-				s.committedUB += opt
-				s.enumerate(i+1, depth, append(dec, int32(ci)), emit)
-				s.committedUB -= opt
-				s.env.Undo(m)
-			}
-		}
-		s.enumerate(i+1, depth, append(dec, -1), emit)
-		return
-	}
-	if s.p.denom > 0 && (s.committedUB+s.p.suffix[i])/s.p.denom <= s.incumbent() {
-		s.prunes++
-		return
-	}
-	m := s.env.Mark()
-	if s.env.TryAddPair(s.p.pairs[i]) {
-		opt := 2 * s.p.pairOpt[i]
-		s.committedUB += opt
-		s.enumerate(i+1, depth, append(dec, 1), emit)
-		s.committedUB -= opt
-		s.env.Undo(m)
-	}
-	s.enumerate(i+1, depth, append(dec, 0), emit)
-}
-
-// runTask replays the task's prefix decisions into the worker's
-// environment and searches the subtree below them, returning the subtree's
-// best leaf. Replay cannot fail: feasibility was established during
-// enumeration on an environment in the identical state.
-func (s *searcher) runTask(t task) taskResult {
+// runTask replays a task's committed pairs into the worker's environment
+// and walks the subtree below them from level depth, returning the
+// subtree's best leaf. Replay cannot fail: feasibility was established
+// during enumeration on an environment in the identical state.
+func (s *searcher) runTask(prefix []int, depth int) taskResult {
 	m := s.env.Mark()
 	s.best, s.bestPairs = math.Inf(-1), nil
-	for level, d := range t.decisions {
-		if s.p.functional {
-			if d < 0 {
-				continue
-			}
-			lc := &s.p.lefts[level]
-			if !s.env.TryAddPair(match.Pair{L: lc.ref, R: lc.cands[d]}) {
-				panic("exact: task prefix replay failed")
-			}
-			s.committedUB += 2 * lc.opts[d]
-		} else {
-			if d == 0 {
-				continue
-			}
-			if !s.env.TryAddPair(s.p.pairs[level]) {
-				panic("exact: task prefix replay failed")
-			}
-			s.committedUB += 2 * s.p.pairOpt[level]
+	for _, k := range prefix {
+		if !s.env.TryAddPair(s.p.pairs[k]) {
+			panic("exact: task prefix replay failed")
 		}
+		s.committedUB += 2 * s.p.pairOpt[k]
 	}
-	s.search(len(t.decisions))
+	s.walk(depth)
 	s.env.Undo(m)
 	s.committedUB = 0
 	return taskResult{score: s.best, pairs: s.bestPairs}

@@ -52,8 +52,8 @@ func TestEngineVariantsBitIdentical(t *testing.T) {
 			{Lambda: lambda, Workers: 1, NoWarmStart: true},
 			{Lambda: lambda, Workers: 4},
 			{Lambda: lambda, Workers: 4, NoWarmStart: true},
-			{Lambda: lambda, Workers: 4, SplitDepth: 1},
-			{Lambda: lambda, Workers: 2, SplitDepth: 3},
+			{Lambda: lambda, Workers: 4, splitDepth: 1},
+			{Lambda: lambda, Workers: 2, splitDepth: 3},
 		}
 		var ref *Result
 		for vi, opt := range variants {
@@ -211,26 +211,30 @@ func TestParallelTimeout(t *testing.T) {
 }
 
 // TestSplitDepthVariantsExhaustive: extreme split depths (every level a
-// task boundary / no split at all) still explore the full space.
+// task boundary / no split at all) still explore the full space, in every
+// mode: at the deepest split every task is a complete assignment replayed
+// from its committed pairs, one pair per level in the general mode.
 func TestSplitDepthVariantsExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	l := randomInstance(rng, "L", 4, 2, 3, 0.3)
 	r := randomInstance(rng, "R", 4, 2, 3, 0.3)
-	ref, err := Run(context.Background(), l, r, match.OneToOne, Options{Lambda: lambda, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, depth := range []int{1, 2, 100} {
-		res, err := Run(context.Background(), l, r, match.OneToOne,
-			Options{Lambda: lambda, Workers: 3, SplitDepth: depth})
+	for _, mode := range []match.Mode{match.OneToOne, match.Functional, match.ManyToMany} {
+		ref, err := Run(context.Background(), l, r, mode, Options{Lambda: lambda, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Exhaustive {
-			t.Fatalf("depth %d: not exhaustive", depth)
-		}
-		if res.Score != ref.Score {
-			t.Fatalf("depth %d: score %v != %v", depth, res.Score, ref.Score)
+		for _, depth := range []int{1, 2, 100} {
+			res, err := Run(context.Background(), l, r, mode,
+				Options{Lambda: lambda, Workers: 3, splitDepth: depth})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Exhaustive {
+				t.Fatalf("mode %v depth %d: not exhaustive", mode, depth)
+			}
+			if res.Score != ref.Score {
+				t.Fatalf("mode %v depth %d: score %v != %v", mode, depth, res.Score, ref.Score)
+			}
 		}
 	}
 }
