@@ -433,11 +433,15 @@ func (r *Result) fillExplanation(env *match.Env, lambda float64, origLeft, origR
 	origID := func(orig *Instance, relName string, idx int) TupleID {
 		return orig.Relation(relName).Tuples[idx].ID
 	}
-	matchedL := map[match.Ref]bool{}
-	matchedR := map[match.Ref]bool{}
+	// One flag per tuple at its flat position, left tuples then right.
+	matched := make([]bool, env.NumLeftTuples()+env.NumRightTuples())
+	matchedL, matchedR := matched[:env.NumLeftTuples()], matched[env.NumLeftTuples():]
+	if n := env.NumPairs(); n > 0 {
+		r.Pairs = make([]MatchedPair, 0, n)
+	}
 	for _, p := range env.Pairs() {
-		matchedL[p.L] = true
-		matchedR[p.R] = true
+		matchedL[env.FlatL(p.L)] = true
+		matchedR[env.FlatR(p.R)] = true
 		name := env.LRels[p.L.Rel].Name
 		r.Pairs = append(r.Pairs, MatchedPair{
 			Relation: name,
@@ -451,7 +455,7 @@ func (r *Result) fillExplanation(env *match.Env, lambda float64, origLeft, origR
 			continue // relation added empty by schema alignment
 		}
 		for ti := range rel.Tuples {
-			if !matchedL[match.Ref{Rel: ri, Idx: ti}] {
+			if !matchedL[env.FlatL(match.Ref{Rel: ri, Idx: ti})] {
 				r.LeftUnmatched = append(r.LeftUnmatched, origID(origLeft, rel.Name, ti))
 			}
 		}
@@ -461,7 +465,7 @@ func (r *Result) fillExplanation(env *match.Env, lambda float64, origLeft, origR
 			continue
 		}
 		for ti := range rel.Tuples {
-			if !matchedR[match.Ref{Rel: ri, Idx: ti}] {
+			if !matchedR[env.FlatR(match.Ref{Rel: ri, Idx: ti})] {
 				r.RightUnmatched = append(r.RightUnmatched, origID(origRight, rightRel(rel.Name), ti))
 			}
 		}
@@ -480,12 +484,12 @@ func (r *Result) fillExplanation(env *match.Env, lambda float64, origLeft, origR
 		}
 		return v
 	}
-	r.LeftValueMapping = map[Value]Value{}
-	r.RightValueMapping = map[Value]Value{}
-	for v := range env.Left.Vars() {
+	r.LeftValueMapping = make(map[Value]Value, len(env.LVars))
+	r.RightValueMapping = make(map[Value]Value, len(env.RVars))
+	for _, v := range env.LVars {
 		r.LeftValueMapping[v] = unrename(env.U.Representative(v))
 	}
-	for v := range env.Right.Vars() {
+	for _, v := range env.RVars {
 		r.RightValueMapping[unrename(v)] = unrename(env.U.Representative(v))
 	}
 }

@@ -89,6 +89,9 @@ func RankIndexedContext(ctx context.Context, example *instcmp.Prepared, lake []P
 // ranking order.
 func RankThroughIndex(names []string, idx lakeindex.Searcher, query func() (*lakeindex.Sketch, error), opt Options, rank func(short []int) ([]Result, error)) ([]Result, IndexStats, error) {
 	var st IndexStats
+	if err := opt.validate(); err != nil {
+		return nil, st, err
+	}
 	topK := opt.TopK
 	if topK <= 0 {
 		topK = DefaultTopK
@@ -157,7 +160,7 @@ func RankThroughIndex(names []string, idx lakeindex.Searcher, query func() (*lak
 		}
 	}
 	short := make([]int, 0, target)
-	var rest []Result
+	rest := make([]Result, 0, len(names)-len(shortlisted))
 	for i, name := range names {
 		switch {
 		case shortlisted[name]:

@@ -5,23 +5,25 @@
 //
 // Ranking every candidate with a full instance match would be wasteful, so
 // candidates first pass two cheap filters: schema compatibility (attribute
-// overlap after alignment) and a constant-overlap prefilter (weighted
-// Jaccard of value samples), mirroring how the signature algorithm itself
-// prunes by shared constants. Only survivors get a full signature
-// comparison.
+// overlap after alignment) and a constant-overlap prefilter (Jaccard of
+// value samples), mirroring how the signature algorithm itself prunes by
+// shared constants. Only survivors get a full signature comparison. The
+// prefilter reads the prepared coding (instcmp.Prepared.ValueOverlap), so
+// every candidate is prepared, pruned or not.
 package lake
 
 import (
 	"context"
+	"errors"
 	"expvar"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"instcmp"
-	"instcmp/internal/model"
 	"instcmp/internal/score"
 )
 
@@ -87,6 +89,21 @@ type Options struct {
 	DiscoverMapping bool
 }
 
+// ErrInvalidOptions is wrapped by the error a ranking returns for bad Options.
+var ErrInvalidOptions = errors.New("lake: invalid options")
+
+// validate rejects options no ranking can honour: negative sizes and
+// budgets, and a prefilter threshold outside [0, 1].
+func (o Options) validate() error {
+	switch {
+	case math.IsNaN(o.MinValueOverlap) || o.MinValueOverlap < 0 || o.MinValueOverlap > 1:
+		return fmt.Errorf("%w: MinValueOverlap %v is outside [0, 1]", ErrInvalidOptions, o.MinValueOverlap)
+	case o.MaxSample < 0, o.TopK < 0, o.MinShortlist < 0, o.PerCandidateTimeout < 0:
+		return fmt.Errorf("%w: MaxSample, TopK, MinShortlist and PerCandidateTimeout must not be negative", ErrInvalidOptions)
+	}
+	return nil
+}
+
 // Indexed shortlist sizing defaults: the shortlist is max(4*TopK,
 // MinShortlist) candidates, so a top-10 query compares at least 64
 // candidates — enough slack that the MinHash estimate (standard error ~0.044
@@ -133,13 +150,10 @@ type PreparedCandidate struct {
 	Prepared *instcmp.Prepared
 }
 
-// candidateSource is the internal shape both entry points rank over: the
-// instance feeds the constant-overlap prefilter, and prepare is invoked only
-// for candidates that survive it (so pruned candidates never pay for
-// coding).
+// candidateSource is the internal shape both entry points rank over; Rank's
+// prepare runs inside the worker that ranks the candidate.
 type candidateSource struct {
 	name    string
-	inst    *instcmp.Instance
 	prepare func() (*instcmp.Prepared, error)
 }
 
@@ -160,20 +174,23 @@ func singleRelName(example *instcmp.Instance) string {
 // budgets each candidate's own comparison; exceeding it degrades that one
 // candidate instead of failing the ranking.
 //
-// The example is prepared once (lazily, on the first candidate to survive
-// the prefilter) and that prepared form is reused across all candidates, so
-// the example's normalization and coding cost is paid once per ranking
-// rather than once per comparison.
+// The example is prepared once, up front, and that prepared form is reused
+// across all candidates, so the example's normalization and coding cost is
+// paid once per ranking rather than once per comparison. Each candidate is
+// prepared by the worker that ranks it, before the prefilter reads it.
 func Rank(ctx context.Context, example *instcmp.Instance, lake []Candidate, opt Options) ([]Result, error) {
-	prepExample := sync.OnceValues(func() (*instcmp.Prepared, error) {
-		return instcmp.Prepare(example)
-	})
+	if err := opt.validate(); err != nil {
+		return nil, err
+	}
+	exPrep, err := instcmp.Prepare(example)
+	if err != nil {
+		return nil, err
+	}
 	wantName := singleRelName(example)
 	srcs := make([]candidateSource, len(lake))
 	for i, cand := range lake {
 		srcs[i] = candidateSource{
 			name: cand.Name,
-			inst: cand.Instance,
 			prepare: func() (*instcmp.Prepared, error) {
 				p, err := instcmp.Prepare(cand.Instance)
 				if err != nil || wantName == "" {
@@ -183,7 +200,7 @@ func Rank(ctx context.Context, example *instcmp.Instance, lake []Candidate, opt 
 			},
 		}
 	}
-	return rankSources(ctx, example, prepExample, srcs, opt)
+	return rankSources(ctx, exPrep, srcs, opt)
 }
 
 // RankPreparedContext is Rank over a lake of prepared candidates and
@@ -193,12 +210,14 @@ func Rank(ctx context.Context, example *instcmp.Instance, lake []Candidate, opt 
 // candidate's prepared state. This is the entry point for resident
 // registries serving many rankings over the same lake.
 func RankPreparedContext(ctx context.Context, example *instcmp.Prepared, lake []PreparedCandidate, opt Options) ([]Result, error) {
+	if err := opt.validate(); err != nil {
+		return nil, err
+	}
 	srcs, err := preparedSources(example, lake)
 	if err != nil {
 		return nil, err
 	}
-	prepExample := func() (*instcmp.Prepared, error) { return example, nil }
-	return rankSources(ctx, example.Instance(), prepExample, srcs, opt)
+	return rankSources(ctx, example, srcs, opt)
 }
 
 // preparedSources validates a prepared lake and converts it to the internal
@@ -220,7 +239,6 @@ func preparedSources(example *instcmp.Prepared, lake []PreparedCandidate) ([]can
 		}
 		srcs[i] = candidateSource{
 			name:    cand.Name,
-			inst:    p.Instance(),
 			prepare: func() (*instcmp.Prepared, error) { return p, nil },
 		}
 	}
@@ -229,7 +247,7 @@ func preparedSources(example *instcmp.Prepared, lake []PreparedCandidate) ([]can
 
 // rankSources runs the ranking proper: prefilter, budgeted full
 // comparisons, deterministic ordering.
-func rankSources(ctx context.Context, example *instcmp.Instance, prepExample func() (*instcmp.Prepared, error), lake []candidateSource, opt Options) ([]Result, error) {
+func rankSources(ctx context.Context, example *instcmp.Prepared, lake []candidateSource, opt Options) ([]Result, error) {
 	if opt.MaxSample == 0 {
 		opt.MaxSample = 1000
 	}
@@ -240,13 +258,16 @@ func rankSources(ctx context.Context, example *instcmp.Instance, prepExample fun
 	if sigWorkers == 0 {
 		sigWorkers = 1
 	}
-	exSample := sampleConsts(example, opt.MaxSample)
 	out := make([]Result, len(lake))
 	errs := make([]error, len(lake))
 	rank := func(i int) {
 		cand := lake[i]
-		r := Result{Name: cand.name}
-		r.Overlap = jaccard(exSample, sampleConsts(cand.inst, opt.MaxSample))
+		candPrep, err := cand.prepare()
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		r := Result{Name: cand.name, Overlap: example.ValueOverlap(candPrep, opt.MaxSample)}
 		if opt.MinValueOverlap > 0 && r.Overlap < opt.MinValueOverlap {
 			r.Pruned = true
 			out[i] = r
@@ -258,17 +279,7 @@ func rankSources(ctx context.Context, example *instcmp.Instance, prepExample fun
 			cctx, cancel = context.WithTimeout(ctx, opt.PerCandidateTimeout)
 			defer cancel()
 		}
-		exPrep, err := prepExample()
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		candPrep, err := cand.prepare()
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		res, err := instcmp.ComparePreparedContext(cctx, exPrep, candPrep, &instcmp.Options{
+		res, err := instcmp.ComparePreparedContext(cctx, example, candPrep, &instcmp.Options{
 			Mode:               opt.Mode,
 			Lambda:             opt.Lambda,
 			ExplicitZeroLambda: opt.ExplicitZeroLambda,
@@ -388,41 +399,4 @@ func sortResults(out []Result) {
 		}
 		return out[i].Name < out[j].Name
 	})
-}
-
-// sampleConsts collects up to max distinct constants of the instance, in
-// first-seen order (deterministic).
-func sampleConsts(in *model.Instance, max int) map[model.Value]bool {
-	set := make(map[model.Value]bool, max)
-	//instlint:allow ctxpoll -- capped at max distinct constants (default 1000); one sample costs microseconds and the rank loop around it polls ctx
-	for _, rel := range in.Relations() {
-		for _, t := range rel.Tuples {
-			for _, v := range t.Values {
-				if v.IsConst() && !set[v] {
-					set[v] = true
-					if len(set) >= max {
-						return set
-					}
-				}
-			}
-		}
-	}
-	return set
-}
-
-func jaccard(a, b map[model.Value]bool) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	inter := 0
-	for v := range a {
-		if b[v] {
-			inter++
-		}
-	}
-	union := len(a) + len(b) - inter
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
 }

@@ -2,9 +2,12 @@ package lake
 
 import (
 	"context"
+	"errors"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
 	"instcmp"
 	"instcmp/internal/datasets"
@@ -258,4 +261,63 @@ func BenchmarkRankPrepared(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestRankRejectsInvalidOptions pins that every entry point refuses
+// out-of-range options with ErrInvalidOptions before doing any work.
+func TestRankRejectsInvalidOptions(t *testing.T) {
+	example, lake := generatedLake(t, 5, 3)
+	var cands []Candidate
+	for _, c := range lake {
+		cands = append(cands, Candidate{Name: c.Name, Instance: c.Prepared.Instance()})
+	}
+	bad := map[string]Options{
+		"negative MaxSample":           {MaxSample: -1},
+		"negative TopK":                {TopK: -1},
+		"negative MinShortlist":        {MinShortlist: -1},
+		"negative PerCandidateTimeout": {PerCandidateTimeout: -time.Second},
+		"MinValueOverlap above 1":      {MinValueOverlap: 1.01},
+		"negative MinValueOverlap":     {MinValueOverlap: -0.5},
+		"NaN MinValueOverlap":          {MinValueOverlap: math.NaN()},
+	}
+	ctx := context.Background()
+	for name, opt := range bad {
+		if _, err := Rank(ctx, example.Instance(), cands, opt); !errors.Is(err, ErrInvalidOptions) {
+			t.Errorf("Rank, %s: err = %v", name, err)
+		}
+		if _, err := RankPreparedContext(ctx, example, lake, opt); !errors.Is(err, ErrInvalidOptions) {
+			t.Errorf("RankPreparedContext, %s: err = %v", name, err)
+		}
+		if _, _, err := RankIndexedContext(ctx, example, lake, nil, opt); !errors.Is(err, ErrInvalidOptions) {
+			t.Errorf("RankIndexedContext, %s: err = %v", name, err)
+		}
+		ranked := false
+		_, _, err := RankThroughIndex([]string{"a"}, nil, nil, opt, func([]int) ([]Result, error) {
+			ranked = true
+			return nil, nil
+		})
+		if !errors.Is(err, ErrInvalidOptions) || ranked {
+			t.Errorf("RankThroughIndex, %s: err = %v, ranked = %v", name, err, ranked)
+		}
+	}
+	if _, err := Rank(ctx, example.Instance(), cands, Options{MinValueOverlap: 1, MaxSample: 1}); err != nil {
+		t.Errorf("boundary options rejected: %v", err)
+	}
+}
+
+// TestValueOverlapAllocatesNothing pins that the prefilter's overlap is read
+// from the prepared coding without allocating.
+func TestValueOverlapAllocatesNothing(t *testing.T) {
+	example, lake := generatedLake(t, 5, 3)
+	for _, maxSample := range []int{1, 7, 1000} {
+		allocs := testing.AllocsPerRun(20, func() {
+			for _, c := range lake {
+				example.ValueOverlap(c.Prepared, maxSample)
+				c.Prepared.ValueOverlap(example, maxSample)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("MaxSample %d: %v allocations per run, want 0", maxSample, allocs)
+		}
+	}
 }

@@ -86,6 +86,8 @@ type Env struct {
 	// LCode and RCode are the integer-coded images of LRels and RRels in
 	// the shared interner In's ID space.
 	LCode, RCode []*model.CodedRelation
+	// LVars and RVars alias the prepared sides' sorted nulls (read-only).
+	LVars, RVars []model.Value
 	In           *model.Interner
 	U            *unify.Unifier
 	Mode         Mode

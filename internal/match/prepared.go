@@ -10,14 +10,14 @@ package match
 // either one.
 //
 // The joint ID space of a comparison is built by block: the left side's
-// self-coding is adopted verbatim (its interner is cloned, one map copy over
-// the distinct values), and the right side's distinct values are interned
-// into the clone in self-ID order, yielding a translation table that remaps
-// the right side's coded rows with a flat int32 rewrite. Each side interns
-// its sorted nulls first, so union-find representatives (and therefore
-// reported value mappings) are deterministic. The one-shot NewEnv prepares
-// both sides and calls NewEnvPrepared, so both paths build the same
-// environment by construction.
+// self-coding is adopted verbatim (its frozen interner is extended, sharing
+// its value map read-only), and the right side's distinct values are
+// interned into the extension in self-ID order, yielding a translation
+// table that remaps the right side's coded rows with a flat int32 rewrite.
+// Each side interns its sorted nulls first, so union-find representatives
+// (and therefore reported value mappings) are deterministic. The one-shot
+// NewEnv prepares both sides and calls NewEnvPrepared, so both paths build
+// the same environment by construction.
 
 import (
 	"fmt"
@@ -28,7 +28,7 @@ import (
 
 // PreparedSide is the partner-independent half of a comparison over one
 // instance. It is immutable after PrepareSide returns and may be shared by
-// any number of concurrent comparisons: environments clone the interner and
+// any number of concurrent comparisons: environments extend the interner and
 // remap (or alias) the coded relations, never mutating the prepared state.
 type PreparedSide struct {
 	// Inst is the prepared instance. The preparing caller owns it and must
@@ -111,7 +111,7 @@ func NewEnvPrepared(l, r *PreparedSide, mode Mode) (*Env, error) {
 			return nil, fmt.Errorf("%w: %v", ErrSharedNulls, v)
 		}
 	}
-	in := l.In.Clone()
+	in := l.In.Extend(r.In.Len())
 	u := unify.NewInterned(in)
 	for i := range l.Vars {
 		u.AddNullID(model.ValueID(i), unify.Left)
@@ -132,6 +132,8 @@ func NewEnvPrepared(l, r *PreparedSide, mode Mode) (*Env, error) {
 		LRels:      l.Rels,
 		RRels:      r.Rels,
 		LCode:      l.Code,
+		LVars:      l.Vars,
+		RVars:      r.Vars,
 		In:         in,
 		U:          u,
 		Mode:       mode,
@@ -146,6 +148,25 @@ func NewEnvPrepared(l, r *PreparedSide, mode Mode) (*Env, error) {
 	e.leftImg = make([][]Ref, e.nL)
 	e.rightImg = make([][]Ref, e.nR)
 	return e, nil
+}
+
+// ValueOverlap is instcmp.Prepared.ValueOverlap. The self-interner codes
+// constants in first-seen scan order after the nulls, so a side's sample is
+// the ID range [len(Vars), len(Vars)+n): one lookup per value of q's sample.
+func (p *PreparedSide) ValueOverlap(q *PreparedSide, maxSample int) float64 {
+	np := min(maxSample, p.In.Len()-len(p.Vars))
+	nq := min(maxSample, q.In.Len()-len(q.Vars))
+	if np == 0 && nq == 0 {
+		return 1
+	}
+	inter := 0
+	for id := len(q.Vars); id < len(q.Vars)+nq; id++ {
+		pid, ok := p.In.Lookup(q.In.ValueOf(model.ValueID(id)))
+		if ok && int(pid) >= len(p.Vars) && int(pid) < len(p.Vars)+np {
+			inter++
+		}
+	}
+	return float64(inter) / float64(np+nq-inter)
 }
 
 // flatBases computes the flattened per-side index bases: flat index of

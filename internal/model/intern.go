@@ -23,6 +23,7 @@ const NoValueID ValueID = -1
 // the same constant receive the same ID, which is what makes ID equality
 // meaningful. The zero value is not usable; call NewInterner.
 type Interner struct {
+	base map[Value]ValueID // the extended interner's map, read-only; nil at the root
 	ids  map[Value]ValueID
 	vals []Value
 	null []bool
@@ -35,8 +36,11 @@ func NewInterner() *Interner {
 
 // Intern returns v's ID, assigning the next dense code on first sight.
 func (in *Interner) Intern(v Value) ValueID {
-	if id, ok := in.ids[v]; ok {
+	if id, ok := in.Lookup(v); ok {
 		return id
+	}
+	if in.ids == nil {
+		in.ids = make(map[Value]ValueID, cap(in.vals)-len(in.vals))
 	}
 	id := ValueID(len(in.vals))
 	in.ids[v] = id
@@ -47,27 +51,25 @@ func (in *Interner) Intern(v Value) ValueID {
 
 // Lookup returns v's ID without interning it.
 func (in *Interner) Lookup(v Value) (ValueID, bool) {
+	if id, ok := in.base[v]; ok {
+		return id, true
+	}
 	id, ok := in.ids[v]
 	return id, ok
 }
 
-// Clone returns an independent copy of the interner: the copy can keep
-// interning new values without affecting the original. Cloning costs one map
-// copy over the distinct values — typically far fewer than the cell count —
-// which is what lets a prepared instance's coding be extended into a joint
-// per-comparison ID space without re-interning the instance cell by cell.
-// Clone never mutates the receiver, so any number of goroutines may clone a
-// quiescent interner concurrently.
-func (in *Interner) Clone() *Interner {
-	c := &Interner{
-		ids:  make(map[Value]ValueID, len(in.ids)),
-		vals: append([]Value(nil), in.vals...),
-		null: append([]bool(nil), in.null...),
+// Extend returns an interner that continues the receiver's coding, giving
+// every value exactly the ID that interning it into the receiver would. It
+// shares the receiver's value map read-only and copies only the flat ID
+// tables, sized for hint more values; new values go to a map of its own.
+// The receiver must be a root interner (not an extension) that never interns
+// again, as prepared interners are; any number of goroutines may extend it.
+func (in *Interner) Extend(hint int) *Interner {
+	return &Interner{
+		base: in.ids,
+		vals: append(make([]Value, 0, len(in.vals)+hint), in.vals...),
+		null: append(make([]bool, 0, len(in.null)+hint), in.null...),
 	}
-	for v, id := range in.ids {
-		c.ids[v] = id
-	}
-	return c
 }
 
 // ValueOf decodes an ID back to its Value.

@@ -488,3 +488,28 @@ func TestServerRankProbesIndex(t *testing.T) {
 			indexed.Results[0].Name, full.Results[0].Name)
 	}
 }
+
+// TestServerRankRejectsInvalidOptions pins that out-of-range ranking
+// options are a bad request: a negative max_sample used to rank with a
+// one-constant sample and answer 200.
+func TestServerRankRejectsInvalidOptions(t *testing.T) {
+	ts, _ := newTestServer(t)
+	register(t, ts, "example", wireSingle("R", [][]string{{"x", "y"}, {"p", "q"}}))
+	register(t, ts, "cand", wireSingle("R", [][]string{{"x", "y"}, {"p", "z"}}))
+	cases := map[string]RankRequest{
+		"negative max_sample":            {Example: "example", MaxSample: -1},
+		"min_value_overlap above 1":      {Example: "example", MinValueOverlap: 1.5},
+		"negative min_value_overlap":     {Example: "example", MinValueOverlap: -0.1},
+		"negative top_k":                 {Example: "example", TopK: -1},
+		"negative min_shortlist":         {Example: "example", MinShortlist: -1},
+		"negative per_candidate_timeout": {Example: "example", PerCandidateTimeoutMS: -1},
+	}
+	for name, req := range cases {
+		var e errorResponse
+		if status := postJSON(t, ts.URL+"/v1/rank", req, &e); status != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want %d (error %q)", name, status, http.StatusBadRequest, e.Error)
+		} else if e.Error == "" {
+			t.Errorf("%s: no error message in body", name)
+		}
+	}
+}

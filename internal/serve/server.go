@@ -352,7 +352,10 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		// A canceled ranking is a deadline outcome, not a bad request:
 		// report it as such so load clients can tell the cases apart.
 		status := http.StatusUnprocessableEntity
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+		switch {
+		case errors.Is(err, lake.ErrInvalidOptions):
+			status = http.StatusBadRequest
+		case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 			status = http.StatusRequestTimeout
 			vars.Add("stopped", 1)
 		}

@@ -477,7 +477,8 @@ func (s *runner) rescue(ri int) {
 		return t
 	}
 	// Tuple pairs share many mask intersections; attempt each pair once.
-	attempted := map[match.Pair]bool{}
+	// One rescue stays inside relation ri, so (li, ci) keys a pair.
+	attempted := map[uint64]bool{}
 	commit := func(_ int, t rescueTask) {
 		for n, pr := range t.probes {
 			if n%cancelPollInterval == 0 && s.canceled() {
@@ -496,12 +497,12 @@ func (s *runner) rescue(ri int) {
 				if s.leftSaturated(lref) {
 					continue
 				}
-				p := match.Pair{L: lref, R: rref}
-				if attempted[p] {
+				key := uint64(li)<<32 | uint64(ci)
+				if attempted[key] {
 					continue
 				}
-				attempted[p] = true
-				if s.tryPair(p) && s.rightSaturated(rref) {
+				attempted[key] = true
+				if s.tryPair(match.Pair{L: lref, R: rref}) && s.rightSaturated(rref) {
 					break
 				}
 			}

@@ -24,8 +24,8 @@ import (
 // Prepared is an instance made ready for repeated comparison. It is
 // immutable and safe for concurrent use: any number of goroutines may pass
 // the same Prepared to ComparePreparedContext at once, because comparisons
-// only read the prepared state (each comparison clones the value interner
-// and remaps coded rows into its own environment).
+// only read the prepared state (each comparison extends the frozen value
+// interner and remaps coded rows into its own environment).
 //
 // Preparation pays off when the prepared instance's schema and null
 // namespace need no per-comparison fixing: comparing two prepared instances
@@ -71,6 +71,13 @@ func (p *Prepared) NumTuples() int { return p.side.NumTuples() }
 // The lake's MinHash sketches and banded signature index are built over this
 // stream; equal cells hash equal across instances and across processes.
 func (p *Prepared) SketchFeatures() []uint64 { return signature.SketchFeatures(p.side) }
+
+// ValueOverlap is the lake prefilter's constant overlap, computed without
+// allocating: the Jaccard index of both instances' first maxSample (> 0)
+// distinct constants in scan order, 1 when neither has a constant.
+func (p *Prepared) ValueOverlap(other *Prepared, maxSample int) float64 {
+	return p.side.ValueOverlap(other.side, maxSample)
+}
 
 // WithRelationName returns a view of a single-relation prepared instance
 // whose relation carries the given name. The coded state is shared — value
