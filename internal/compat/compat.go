@@ -4,15 +4,17 @@
 // c-compatibility pruning of Sec. 6.1 with the exact pairwise unification
 // check (t ≃ t').
 //
-// Two index flavors exist. CodedIndex is what the comparison algorithms use:
-// it runs on the integer-coded rows of a model.CodedRelation, buckets by
-// ValueID, and performs the pairwise unification check with a reusable
-// scratch union-find — no per-candidate allocation and no string hashing.
-// The Value/Tuple-based Index remains for callers outside the coded world
-// (the scenario generator's gold-extension, tests).
+// The index, CodedIndex, runs on the integer-coded rows of a
+// model.CodedRelation: it groups cells by ValueID and rows by ground mask in
+// flat counting-sorted arrays, and performs the pairwise unification check
+// with a reusable scratch union-find — no map lookup when probing, no
+// per-candidate allocation and no string hashing. CCompatible and Compatible state Def. 6.1 over
+// Values and serve as the reference the coded check is tested against.
 package compat
 
 import (
+	"slices"
+
 	"instcmp/internal/model"
 )
 
@@ -143,180 +145,111 @@ func compatibleRows(a, b []model.ValueID, null []bool, uf *pairUF) bool {
 	return true
 }
 
-// Index is the per-attribute hash index V_A of Alg. 2: for each attribute,
-// constant values map to the positions holding them. Instead of the paper's
-// single * bucket per attribute, tuples are additionally grouped by their
-// ground mask (the set of constant-valued attributes), which lets Candidates
-// enumerate "all probe-constant attributes are null here" tuples without
-// scanning every tuple that has a null somewhere.
-type Index struct {
-	rel     *model.Relation
-	idxs    []int
-	byConst []map[model.Value][]int
-	byMask  map[uint64][]int // ground mask -> positions
-	masks   []uint64         // distinct ground masks
-	stamp   []int            // de-duplication stamps, len(rel.Tuples)
-	gen     int
-}
-
-// MaxIndexArity bounds relation arity for mask-based indexing.
-const MaxIndexArity = 64
-
-// NewIndex builds the index over the listed tuple positions of a relation
-// (nil means all tuples).
-func NewIndex(rel *model.Relation, idxs []int) *Index {
-	if rel.Arity() > MaxIndexArity {
-		panic("compat: relation arity exceeds 64")
-	}
-	if idxs == nil {
-		idxs = make([]int, len(rel.Tuples))
-		for i := range idxs {
-			idxs[i] = i
-		}
-	}
-	ix := &Index{
-		rel:     rel,
-		idxs:    idxs,
-		byConst: make([]map[model.Value][]int, rel.Arity()),
-		byMask:  map[uint64][]int{},
-		stamp:   make([]int, len(rel.Tuples)),
-	}
-	for a := range ix.byConst {
-		ix.byConst[a] = map[model.Value][]int{}
-	}
-	for _, ti := range idxs {
-		t := &rel.Tuples[ti]
-		var mask uint64
-		for a, v := range t.Values {
-			if v.IsConst() {
-				mask |= 1 << a
-				ix.byConst[a][v] = append(ix.byConst[a][v], ti)
-			}
-		}
-		if _, seen := ix.byMask[mask]; !seen {
-			ix.masks = append(ix.masks, mask)
-		}
-		ix.byMask[mask] = append(ix.byMask[mask], ti)
-	}
-	return ix
-}
-
-// GroundMask returns the bitmask of constant-valued attributes of a tuple.
-func GroundMask(t *model.Tuple) uint64 {
-	var mask uint64
-	for a, v := range t.Values {
-		if v.IsConst() {
-			mask |= 1 << a
-		}
-	}
-	return mask
-}
-
-// Candidates returns the positions of indexed tuples compatible (t ≃ t')
-// with the given probe tuple. Every compatible tuple either shares a
-// constant with the probe on some attribute (and is found in that
-// attribute's V_A bucket) or is null on every probe-constant attribute (and
-// is found through a ground mask disjoint from the probe's); both groups
-// are filtered through the exact pairwise check.
-func (ix *Index) Candidates(t *model.Tuple) []int {
-	ix.gen++
-	var out []int
-	check := func(ti int) {
-		if ix.stamp[ti] == ix.gen {
-			return
-		}
-		ix.stamp[ti] = ix.gen
-		cand := &ix.rel.Tuples[ti]
-		if CCompatible(t, cand) && Compatible(t, cand) {
-			out = append(out, ti)
-		}
-	}
-	probeMask := GroundMask(t)
-	for a, v := range t.Values {
-		if v.IsConst() {
-			for _, ti := range ix.byConst[a][v] {
-				check(ti)
-			}
-		}
-	}
-	for _, mask := range ix.masks {
-		if mask&probeMask == 0 {
-			for _, ti := range ix.byMask[mask] {
-				check(ti)
-			}
-		}
-	}
-	return out
-}
-
-// Candidates computes the full compatibility map of Alg. 2 for one
-// relation pair: for every listed left position, the compatible right
-// positions. Passing nil position lists means all tuples of that side.
-func Candidates(lrel, rrel *model.Relation, leftIdxs, rightIdxs []int) map[int][]int {
-	ix := NewIndex(rrel, rightIdxs)
-	if leftIdxs == nil {
-		leftIdxs = make([]int, len(lrel.Tuples))
-		for i := range leftIdxs {
-			leftIdxs[i] = i
-		}
-	}
-	out := make(map[int][]int, len(leftIdxs))
-	for _, li := range leftIdxs {
-		out[li] = ix.Candidates(&lrel.Tuples[li])
-	}
-	return out
-}
-
-// CodedIndex is the Alg. 2 index over a coded relation: per-attribute
-// buckets keyed by ValueID plus the ground-mask grouping of Index, probed
-// with coded rows. It is what the exact search and the signature
-// algorithm's completion step run on.
+// CodedIndex is the index V_A of Alg. 2 over a coded relation, probed
+// with coded rows. Constant cells are grouped by ValueID, which covers every
+// attribute's V_A buckets at once. Instead of the paper's single * bucket
+// per attribute, rows are grouped by their ground mask (the set of
+// constant-valued attributes), which lets a probe enumerate "all
+// probe-constant attributes are null here" rows without scanning every row
+// that has a null somewhere. Both groupings are counting-sorted flat
+// arrays, so a build is a few slice allocations plus a mask-to-group map
+// that does not outlive it, and a probe touches no map. It is what the
+// exact search, the signature algorithm's completion step and the scenario
+// generator's gold extension run on.
 type CodedIndex struct {
-	crel    *model.CodedRelation
-	null    []bool
-	byConst []map[model.ValueID][]int32
-	byMask  map[uint64][]int32
-	masks   []uint64
+	crel *model.CodedRelation
+	null []bool
+	// Cells off[id]:off[id+1] of rows/attrs hold constant id: row rows[k]
+	// holds it at attribute attrs[k], sorted by attribute, then row.
+	// len(off) is one more than the interner's Len at build time.
+	off   []int32
+	rows  []int32
+	attrs []uint8
+	// masks lists the distinct ground masks in first-seen order; the rows
+	// with ground mask masks[g] are mrows[moff[g]:moff[g+1]], in row order.
+	masks []uint64
+	moff  []int32
+	mrows []int32
 }
 
 // NewCodedIndex builds the index over the listed row positions (nil means
 // all rows). The interner must be the one the relation was coded with.
 func NewCodedIndex(crel *model.CodedRelation, idxs []int, in *model.Interner) *CodedIndex {
-	ix := &CodedIndex{
-		crel:    crel,
-		null:    in.NullFlags(),
-		byConst: make([]map[model.ValueID][]int32, crel.Arity),
-		byMask:  map[uint64][]int32{},
+	n := len(idxs)
+	if idxs == nil {
+		n = crel.Rows()
 	}
-	for a := range ix.byConst {
-		ix.byConst[a] = map[model.ValueID][]int32{}
+	at := func(k int) int {
+		if idxs == nil {
+			return k
+		}
+		return idxs[k]
 	}
-	add := func(ti int) {
-		row, mask := ix.crel.Row(ti), ix.crel.Masks[ti]
+	ix := &CodedIndex{crel: crel, null: in.NullFlags(), off: make([]int32, in.Len()+1)}
+	// First pass: count each constant's cells and each row's mask group.
+	// group is scratch sharing one allocation with mrows.
+	buf := make([]int32, 2*n)
+	ix.mrows = buf[:n:n]
+	group := buf[n:]
+	groups := map[uint64]int32{}
+	for k := 0; k < n; k++ {
+		ti := at(k)
+		row, mask := crel.Row(ti), crel.Masks[ti]
 		for a, id := range row {
 			if mask&(1<<a) != 0 {
-				ix.byConst[a][id] = append(ix.byConst[a][id], int32(ti))
+				ix.off[id+1]++
 			}
 		}
-		if _, seen := ix.byMask[mask]; !seen {
+		g, seen := groups[mask]
+		if !seen {
+			g = int32(len(ix.masks))
+			groups[mask] = g
 			ix.masks = append(ix.masks, mask)
 		}
-		ix.byMask[mask] = append(ix.byMask[mask], int32(ti))
+		group[k] = g
 	}
-	if idxs == nil {
-		for ti := 0; ti < crel.Rows(); ti++ {
-			add(ti)
-		}
-	} else {
-		for _, ti := range idxs {
-			add(ti)
+	for i := 1; i < len(ix.off); i++ {
+		ix.off[i] += ix.off[i-1]
+	}
+	cells := int(ix.off[len(ix.off)-1])
+	flat := make([]int32, cells+len(ix.masks)+1)
+	ix.rows, ix.moff = flat[:cells:cells], flat[cells:]
+	ix.attrs = make([]uint8, cells)
+	for _, g := range group {
+		ix.moff[g+1]++
+	}
+	for g := 1; g < len(ix.moff); g++ {
+		ix.moff[g] += ix.moff[g-1]
+	}
+	// Second pass: place cells and rows, using each group's start as its
+	// cursor; afterwards every start has advanced to the next group's, and
+	// shifting the offsets up by one restores them. Cells are placed
+	// attribute by attribute, so each ID's cells are sorted by attribute,
+	// then row.
+	for a := 0; a < crel.Arity; a++ {
+		for k := 0; k < n; k++ {
+			ti := at(k)
+			if crel.Masks[ti]&(1<<a) != 0 {
+				id := crel.Row(ti)[a]
+				c := ix.off[id]
+				ix.rows[c], ix.attrs[c] = int32(ti), uint8(a)
+				ix.off[id]++
+			}
 		}
 	}
+	for k, g := range group {
+		ix.mrows[ix.moff[g]] = int32(at(k))
+		ix.moff[g]++
+	}
+	copy(ix.off[1:], ix.off)
+	ix.off[0] = 0
+	copy(ix.moff[1:], ix.moff)
+	ix.moff[0] = 0
 	return ix
 }
 
 // Prober is a probe cursor over a CodedIndex: it shares the index's
-// immutable buckets but owns the per-probe scratch (the dedup stamps, the
+// immutable arrays but owns the per-probe scratch (the dedup stamps, the
 // pairwise union-find, the output slice), so any number of Probers may
 // probe one index concurrently — the signature algorithm's completion step
 // creates one per pipeline worker. Candidate order is a function of the
@@ -337,8 +270,11 @@ func (ix *CodedIndex) NewProber() *Prober {
 
 // Candidates returns the positions of indexed rows compatible (t ≃ t') with
 // the probe row, whose ground mask the caller supplies (the coded relations
-// precompute it). The returned slice is reused and only valid until the
-// prober's next call.
+// precompute it). Every compatible row either shares a constant with the
+// probe on some attribute (and is among that constant's cells) or is null
+// on every probe-constant attribute (and is in a mask group disjoint from
+// the probe's); both groups are filtered through the exact pairwise check.
+// The returned slice is reused and only valid until the prober's next call.
 func (p *Prober) Candidates(row []model.ValueID, probeMask uint64) []int {
 	ix := p.ix
 	p.gen++
@@ -352,16 +288,21 @@ func (p *Prober) Candidates(row []model.ValueID, probeMask uint64) []int {
 			p.out = append(p.out, int(ti))
 		}
 	}
+	// IDs interned after the build are in no cell.
+	built := model.ValueID(len(ix.off) - 1)
 	for a, id := range row {
-		if probeMask&(1<<a) != 0 {
-			for _, ti := range ix.byConst[a][id] {
-				check(ti)
-			}
+		if probeMask&(1<<a) == 0 || id >= built {
+			continue
+		}
+		lo, hi := int(ix.off[id]), int(ix.off[id+1])
+		c, _ := slices.BinarySearch(ix.attrs[lo:hi], uint8(a))
+		for c += lo; c < hi && int(ix.attrs[c]) == a; c++ {
+			check(ix.rows[c])
 		}
 	}
-	for _, mask := range ix.masks {
+	for g, mask := range ix.masks {
 		if mask&probeMask == 0 {
-			for _, ti := range ix.byMask[mask] {
+			for _, ti := range ix.mrows[ix.moff[g]:ix.moff[g+1]] {
 				check(ti)
 			}
 		}

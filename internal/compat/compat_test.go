@@ -111,6 +111,26 @@ func buildRel(rows ...[]model.Value) *model.Relation {
 	return r
 }
 
+// codedCandidates computes the compatibility map of Alg. 2 for one
+// relation pair through CodedIndex: for every listed left position, the
+// compatible right positions. Nil position lists mean all tuples of that
+// side. Both sides are coded with one interner before the index is built.
+func codedCandidates(lrel, rrel *model.Relation, leftIdxs, rightIdxs []int) map[int][]int {
+	in := model.NewInterner()
+	lc, rc := in.Code(lrel), in.Code(rrel)
+	pr := NewCodedIndex(rc, rightIdxs, in).NewProber()
+	if leftIdxs == nil {
+		for li := range lrel.Tuples {
+			leftIdxs = append(leftIdxs, li)
+		}
+	}
+	out := make(map[int][]int, len(leftIdxs))
+	for _, li := range leftIdxs {
+		out[li] = append([]int(nil), pr.Candidates(lc.Row(li), lc.Masks[li])...)
+	}
+	return out
+}
+
 func TestIndexCandidates(t *testing.T) {
 	right := buildRel(
 		[]model.Value{c("a"), c("b")},
@@ -118,9 +138,14 @@ func TestIndexCandidates(t *testing.T) {
 		[]model.Value{c("z"), c("b")},
 		[]model.Value{n("V2"), n("V3")},
 	)
-	ix := NewIndex(right, nil)
+	probes := buildRel(
+		[]model.Value{c("a"), c("b")},
+		[]model.Value{n("N1"), n("N2")},
+		[]model.Value{c("q"), c("b")},
+	)
+	cands := codedCandidates(probes, right, nil, nil)
 
-	got := ix.Candidates(tup(c("a"), c("b")))
+	got := cands[0]
 	want := map[int]bool{0: true, 1: true, 3: true}
 	if len(got) != len(want) {
 		t.Fatalf("candidates = %v, want keys %v", got, want)
@@ -132,12 +157,12 @@ func TestIndexCandidates(t *testing.T) {
 	}
 
 	// All-null probe matches everything.
-	if got := ix.Candidates(tup(n("N1"), n("N2"))); len(got) != 4 {
+	if got := cands[1]; len(got) != 4 {
 		t.Errorf("all-null probe candidates = %v, want all 4", got)
 	}
 
 	// Probe with a constant unseen on the right matches only null slots.
-	got = ix.Candidates(tup(c("q"), c("b")))
+	got = cands[2]
 	if len(got) != 1 || got[0] != 3 {
 		t.Errorf("unseen-constant probe = %v, want [3]", got)
 	}
@@ -152,7 +177,7 @@ func TestCandidatesSubsets(t *testing.T) {
 		[]model.Value{c("a"), c("b")},
 		[]model.Value{c("a"), n("V1")},
 	)
-	all := Candidates(left, right, nil, nil)
+	all := codedCandidates(left, right, nil, nil)
 	if len(all) != 2 {
 		t.Fatalf("expected entries for both left tuples, got %v", all)
 	}
@@ -163,7 +188,7 @@ func TestCandidatesSubsets(t *testing.T) {
 		t.Errorf("left 1 candidates = %v, want none", all[1])
 	}
 
-	restricted := Candidates(left, right, []int{0}, []int{1})
+	restricted := codedCandidates(left, right, []int{0}, []int{1})
 	if len(restricted) != 1 || len(restricted[0]) != 1 || restricted[0][0] != 1 {
 		t.Errorf("restricted candidates = %v", restricted)
 	}
@@ -194,7 +219,7 @@ func TestCandidatesAgainstBruteForce(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		left := mk(15, 3, 4, "L")
 		right := mk(15, 3, 4, "R")
-		got := Candidates(left, right, nil, nil)
+		got := codedCandidates(left, right, nil, nil)
 		for li := range left.Tuples {
 			want := map[int]bool{}
 			for ri := range right.Tuples {

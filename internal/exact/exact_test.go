@@ -20,7 +20,9 @@ const lambda = 0.5
 
 // bruteForce enumerates every subset of compatible pairs, filters the ones
 // that form a consistent complete match under the mode, and returns the
-// maximum score. Exponential; for tiny instances only.
+// maximum score. Exponential; for tiny instances only. Compatible pairs
+// come from all tuple pairs filtered by Def. 6.1's Value-based checks, so
+// the oracle shares no code with the candidate index.
 func bruteForce(t *testing.T, l, r *model.Instance, mode match.Mode) float64 {
 	t.Helper()
 	env, err := match.NewEnv(l, r, mode)
@@ -28,14 +30,17 @@ func bruteForce(t *testing.T, l, r *model.Instance, mode match.Mode) float64 {
 		t.Fatal(err)
 	}
 	var pairs []match.Pair
-	for ri := range l.Relations() {
-		cands := compat.Candidates(l.Relations()[ri], r.Relations()[ri], nil, nil)
-		for li, cs := range cands {
-			for _, ci := range cs {
-				pairs = append(pairs, match.Pair{
-					L: match.Ref{Rel: ri, Idx: li},
-					R: match.Ref{Rel: ri, Idx: ci},
-				})
+	for ri, lrel := range l.Relations() {
+		rrel := r.Relations()[ri]
+		for li := range lrel.Tuples {
+			for ci := range rrel.Tuples {
+				lt, rt := &lrel.Tuples[li], &rrel.Tuples[ci]
+				if compat.CCompatible(lt, rt) && compat.Compatible(lt, rt) {
+					pairs = append(pairs, match.Pair{
+						L: match.Ref{Rel: ri, Idx: li},
+						R: match.Ref{Rel: ri, Idx: ci},
+					})
+				}
 			}
 		}
 	}

@@ -267,14 +267,14 @@ func (s *Scenario) BestKnownScore(lambda float64, mode match.Mode) (float64, err
 		return 0, err
 	}
 	gold := score.Match(env, lambda)
-	for ri, lrel := range env.LRels {
-		ix := compat.NewIndex(env.RRels[ri], nil)
-		for li := range lrel.Tuples {
+	for ri, lcode := range env.LCode {
+		pr := compat.NewCodedIndex(env.RCode[ri], nil, env.In).NewProber()
+		for li := 0; li < lcode.Rows(); li++ {
 			lref := match.Ref{Rel: ri, Idx: li}
 			if mode.LeftInjective && env.LeftDegree(lref) > 0 {
 				continue
 			}
-			for _, ci := range ix.Candidates(&lrel.Tuples[li]) {
+			for _, ci := range pr.Candidates(lcode.Row(li), lcode.Masks[li]) {
 				p := match.Pair{L: lref, R: match.Ref{Rel: ri, Idx: ci}}
 				if !env.Has(p) {
 					env.TryAddPair(p)

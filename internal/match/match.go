@@ -187,19 +187,34 @@ func (e *Env) Clone() *Env {
 	ne.Stats = EnvStats{}
 	ne.U = e.U.Clone()
 	ne.pairs = append([]Pair(nil), e.pairs...)
-	ne.leftImg = cloneImages(e.leftImg)
-	ne.rightImg = cloneImages(e.rightImg)
+	ne.leftImg, ne.rightImg = cloneImages(e.leftImg, e.rightImg)
 	return &ne
 }
 
-func cloneImages(img [][]Ref) [][]Ref {
-	out := make([][]Ref, len(img))
-	for i, refs := range img {
-		if len(refs) > 0 {
-			out[i] = append([]Ref(nil), refs...)
-		}
+// newImages returns empty image tables for nL left and nR right tuples.
+// Both share one backing array, and each image starts as a capacity-1
+// window into one slab of Refs, so a tuple's first pair is stored without
+// allocating; appending a second outgrows the window and moves that image
+// to an array of its own, never into a neighbour's slot.
+func newImages(nL, nR int) (left, right [][]Ref) {
+	img := make([][]Ref, nL+nR)
+	slab := make([]Ref, nL+nR)
+	for i := range img {
+		img[i] = slab[i : i : i+1]
 	}
-	return out
+	return img[:nL:nL], img[nL:]
+}
+
+// cloneImages returns fresh image tables holding the same images.
+func cloneImages(left, right [][]Ref) (l, r [][]Ref) {
+	l, r = newImages(len(left), len(right))
+	for i, refs := range left {
+		l[i] = append(l[i], refs...)
+	}
+	for i, refs := range right {
+		r[i] = append(r[i], refs...)
+	}
+	return l, r
 }
 
 // Replay extends the match with a sequence of pairs, all-or-nothing: when

@@ -11,9 +11,10 @@ package match
 //
 // The joint ID space of a comparison is built by block: the left side's
 // self-coding is adopted verbatim (its frozen interner is extended, sharing
-// its value map read-only), and the right side's distinct values are
-// interned into the extension in self-ID order, yielding a translation
-// table that remaps the right side's coded rows with a flat int32 rewrite.
+// its value map and value table read-only), and the right side's distinct
+// values are interned into the extension in self-ID order, yielding a
+// translation table that remaps the right side's coded rows with a flat
+// int32 rewrite.
 // Each side interns its sorted nulls first, so union-find representatives
 // (and therefore reported value mappings) are deterministic. The one-shot
 // NewEnv prepares both sides and calls NewEnvPrepared, so both paths build
@@ -112,16 +113,18 @@ func NewEnvPrepared(l, r *PreparedSide, mode Mode) (*Env, error) {
 		}
 	}
 	in := l.In.Extend(r.In.Len())
-	u := unify.NewInterned(in)
-	for i := range l.Vars {
-		u.AddNullID(model.ValueID(i), unify.Left)
-	}
 	// Extend the joint space with the right side's values in self-ID order
 	// (sorted nulls first, then constants in scan order), recording the
 	// translation.
 	table := make([]model.ValueID, r.In.Len())
 	for id := range table {
 		table[id] = in.Intern(r.In.ValueOf(model.ValueID(id)))
+	}
+	// The joint space is complete: size the unifier once.
+	u := unify.NewInterned(in)
+	u.Sync()
+	for i := range l.Vars {
+		u.AddNullID(model.ValueID(i), unify.Left)
 	}
 	for i := range r.Vars {
 		u.AddNullID(table[i], unify.Right)
@@ -145,8 +148,7 @@ func NewEnvPrepared(l, r *PreparedSide, mode Mode) (*Env, error) {
 	}
 	e.lBase, e.nL = flatBases(e.LRels)
 	e.rBase, e.nR = flatBases(e.RRels)
-	e.leftImg = make([][]Ref, e.nL)
-	e.rightImg = make([][]Ref, e.nR)
+	e.leftImg, e.rightImg = newImages(e.nL, e.nR)
 	return e, nil
 }
 

@@ -23,9 +23,14 @@ const NoValueID ValueID = -1
 // the same constant receive the same ID, which is what makes ID equality
 // meaningful. The zero value is not usable; call NewInterner.
 type Interner struct {
-	base map[Value]ValueID // the extended interner's map, read-only; nil at the root
-	ids  map[Value]ValueID
-	vals []Value
+	// An extension reads its root's map and values read-only: IDs below
+	// len(baseVals) are the root's, the rest are in ids/vals. Both are nil
+	// at the root.
+	base     map[Value]ValueID
+	baseVals []Value
+	ids      map[Value]ValueID
+	vals     []Value
+	// null covers every ID, the root's included.
 	null []bool
 }
 
@@ -42,7 +47,7 @@ func (in *Interner) Intern(v Value) ValueID {
 	if in.ids == nil {
 		in.ids = make(map[Value]ValueID, cap(in.vals)-len(in.vals))
 	}
-	id := ValueID(len(in.vals))
+	id := ValueID(len(in.null))
 	in.ids[v] = id
 	in.vals = append(in.vals, v)
 	in.null = append(in.null, v.IsNull())
@@ -60,26 +65,36 @@ func (in *Interner) Lookup(v Value) (ValueID, bool) {
 
 // Extend returns an interner that continues the receiver's coding, giving
 // every value exactly the ID that interning it into the receiver would. It
-// shares the receiver's value map read-only and copies only the flat ID
-// tables, sized for hint more values; new values go to a map of its own.
-// The receiver must be a root interner (not an extension) that never interns
-// again, as prepared interners are; any number of goroutines may extend it.
+// shares the receiver's value map and value table read-only and copies only
+// the nullness table, sized for hint more values; new values go to a map
+// and a table of its own. The receiver must be a root interner (not an
+// extension; Extend panics otherwise) that never interns again, as
+// prepared interners are; any number of goroutines may extend it.
 func (in *Interner) Extend(hint int) *Interner {
+	if in.base != nil {
+		panic("model: Extend called on an extended interner")
+	}
 	return &Interner{
-		base: in.ids,
-		vals: append(make([]Value, 0, len(in.vals)+hint), in.vals...),
-		null: append(make([]bool, 0, len(in.null)+hint), in.null...),
+		base:     in.ids,
+		baseVals: in.vals,
+		vals:     make([]Value, 0, hint),
+		null:     append(make([]bool, 0, len(in.null)+hint), in.null...),
 	}
 }
 
 // ValueOf decodes an ID back to its Value.
-func (in *Interner) ValueOf(id ValueID) Value { return in.vals[id] }
+func (in *Interner) ValueOf(id ValueID) Value {
+	if int(id) < len(in.baseVals) {
+		return in.baseVals[id]
+	}
+	return in.vals[int(id)-len(in.baseVals)]
+}
 
 // IsNull reports whether the coded value is a labeled null.
 func (in *Interner) IsNull(id ValueID) bool { return in.null[id] }
 
 // Len returns the number of interned values; valid IDs are [0, Len).
-func (in *Interner) Len() int { return len(in.vals) }
+func (in *Interner) Len() int { return len(in.null) }
 
 // NullFlags exposes the ID-indexed nullness table for hot loops. The slice
 // is shared with the interner and only valid until the next Intern call;

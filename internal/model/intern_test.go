@@ -110,3 +110,50 @@ func TestInternerExtendConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestInternerExtendDecodesBothLevels decodes IDs on both sides of the
+// boundary between the root's values and an extension's own, and checks
+// that two extensions interning different values at the same IDs leave
+// each other and the root untouched.
+func TestInternerExtendDecodesBothLevels(t *testing.T) {
+	base := frozenBase()
+	n := ValueID(base.Len())
+	a, b := base.Extend(1), base.Extend(0)
+	if id := a.Intern(Const("a-only")); id != n {
+		t.Fatalf("first new ID %d, want %d", id, n)
+	}
+	if id := b.Intern(Null("b-only")); id != n {
+		t.Fatalf("first new ID %d, want %d", id, n)
+	}
+	ref := frozenBase()
+	if got, want := a.ValueOf(n-1), ref.ValueOf(n-1); got != want {
+		t.Errorf("last root ID decodes to %v, want %v", got, want)
+	}
+	if got := a.ValueOf(n); got != Const("a-only") || a.IsNull(n) {
+		t.Errorf("extension a decodes ID %d to %v (null %v)", n, got, a.IsNull(n))
+	}
+	if got := b.ValueOf(n); got != Null("b-only") || !b.IsNull(n) {
+		t.Errorf("extension b decodes ID %d to %v (null %v)", n, got, b.IsNull(n))
+	}
+	if base.Len() != int(n) {
+		t.Fatalf("root Len %d after extensions interned, want %d", base.Len(), n)
+	}
+	for id := ValueID(0); id < n; id++ {
+		if base.ValueOf(id) != ref.ValueOf(id) || base.IsNull(id) != ref.IsNull(id) {
+			t.Errorf("root ID %d decodes to %v, want %v", id, base.ValueOf(id), ref.ValueOf(id))
+		}
+	}
+}
+
+// TestInternerExtendRejectsExtension: an extension does not own its base
+// map, so extending it again would drop the root's values and hand out
+// wrong IDs; Extend must refuse.
+func TestInternerExtendRejectsExtension(t *testing.T) {
+	ext := frozenBase().Extend(0)
+	defer func() {
+		if recover() == nil {
+			t.Error("Extend on an extended interner did not panic")
+		}
+	}()
+	ext.Extend(0)
+}

@@ -62,16 +62,18 @@ func (s *runner) fanOut(rows int) int {
 
 // runBlocks drives the ordered produce/commit pipeline over blocks
 // b = 0, 1, ..., n-1: commit(b, produce(state, spare, b)) runs on the
-// calling goroutine in ascending b. With one effective worker it runs
-// inline, with no goroutines or channels: produce and commit alternate, a
-// single state comes from newState, and each produce receives the previous
-// block's payload (initially *spare) to reuse, the last one being stored
-// back in *spare. Otherwise produce runs on workers goroutines, each with
-// its own state and a zero spare; at most 2×workers blocks are in flight at
-// once, bounding payload memory, and workers claim blocks in ascending
-// order, so the lowest uncommitted block is always being produced and the
-// committer never stalls behind an unclaimed block. It returns the number
-// of fanned-out blocks: 0 inline, n otherwise.
+// calling goroutine in ascending b. Payloads are recycled: commit must not
+// retain one, and produce receives a committed payload (initially *spare)
+// to reuse, one of the last being stored back in *spare. With one
+// effective worker it runs inline, with no goroutines or channels: produce
+// and commit alternate, a single state comes from newState, and each
+// produce receives the previous block's payload. Otherwise produce runs on
+// workers goroutines, each with its own state, taking a committed payload
+// when one is free and the zero value otherwise; at most 2×workers blocks
+// are in flight at once, bounding payload memory, and workers claim blocks
+// in ascending order, so the lowest uncommitted block is always being
+// produced and the committer never stalls behind an unclaimed block. It
+// returns the number of fanned-out blocks: 0 inline, n otherwise.
 func runBlocks[S, T any](workers, n int, spare *T, newState func() S, produce func(S, T, int) T, commit func(int, T)) int {
 	workers = min(workers, n)
 	if workers <= 1 {
@@ -96,6 +98,9 @@ func runBlocks[S, T any](workers, n int, spare *T, newState func() S, produce fu
 	for i := 0; i < inflight; i++ {
 		tokens <- struct{}{}
 	}
+	// free hands committed payloads back to the producers.
+	free := make(chan T, inflight)
+	free <- *spare
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -103,19 +108,28 @@ func runBlocks[S, T any](workers, n int, spare *T, newState func() S, produce fu
 		go func() {
 			defer wg.Done()
 			state := newState()
-			var zero T
 			for range tokens {
 				b := int(next.Add(1)) - 1
 				if b >= n {
 					return
 				}
-				results[b] <- produce(state, zero, b)
+				var t T
+				select {
+				case t = <-free:
+				default:
+				}
+				results[b] <- produce(state, t, b)
 			}
 		}()
 	}
 	released := inflight
 	for b := 0; b < n; b++ {
-		commit(b, <-results[b])
+		t := <-results[b]
+		commit(b, t)
+		select {
+		case free <- t:
+		default:
+		}
 		if released < n {
 			tokens <- struct{}{}
 			released++
@@ -126,6 +140,10 @@ func runBlocks[S, T any](workers, n int, spare *T, newState func() S, produce fu
 	// exit.
 	close(tokens)
 	wg.Wait()
+	select {
+	case *spare = <-free:
+	default:
+	}
 	return n
 }
 

@@ -28,6 +28,7 @@ package unify
 
 import (
 	"fmt"
+	"slices"
 
 	"instcmp/internal/model"
 )
@@ -100,21 +101,30 @@ func NewInterned(in *model.Interner) *Unifier {
 // Interner returns the unifier's interner.
 func (u *Unifier) Interner() *model.Interner { return u.in }
 
-// ensure grows the per-ID arrays to cover every interned value. New slots
-// start as singleton roots; constants carry themselves as class constant.
+// ensure grows the per-ID arrays to cover every interned value, each by
+// the missing count at once. New slots start as singleton roots; constants
+// carry themselves as class constant.
 func (u *Unifier) ensure() {
-	n := u.in.Len()
-	for i := len(u.parent); i < n; i++ {
-		u.parent = append(u.parent, int32(i))
-		u.size = append(u.size, 1)
-		u.nl = append(u.nl, 0)
-		u.nr = append(u.nr, 0)
-		if u.in.IsNull(model.ValueID(i)) {
-			u.cls = append(u.cls, model.NoValueID)
-			u.side = append(u.side, sideNone)
+	old, n := len(u.parent), u.in.Len()
+	if old >= n {
+		return
+	}
+	u.parent = slices.Grow(u.parent, n-old)[:n]
+	u.size = slices.Grow(u.size, n-old)[:n]
+	u.nl = slices.Grow(u.nl, n-old)[:n]
+	u.nr = slices.Grow(u.nr, n-old)[:n]
+	u.cls = slices.Grow(u.cls, n-old)[:n]
+	u.side = slices.Grow(u.side, n-old)[:n]
+	null := u.in.NullFlags()
+	for i := old; i < n; i++ {
+		u.parent[i], u.size[i] = int32(i), 1
+		u.nl[i], u.nr[i] = 0, 0
+		if null[i] {
+			u.cls[i] = model.NoValueID
+			u.side[i] = sideNone
 		} else {
-			u.cls = append(u.cls, model.ValueID(i))
-			u.side = append(u.side, sideConst)
+			u.cls[i] = model.ValueID(i)
+			u.side[i] = sideConst
 		}
 	}
 }
