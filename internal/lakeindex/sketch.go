@@ -21,7 +21,11 @@
 // wrong early cutoff.
 package lakeindex
 
-import "math"
+import (
+	"math"
+
+	"instcmp/internal/model"
+)
 
 // Sketch and banding geometry. These parameters are baked into persisted
 // index files; changing any of them requires bumping FormatVersion (the file
@@ -55,18 +59,10 @@ var seeds = func() [K]uint64 {
 	x := gamma * uint64(SeedVersion+1)
 	for i := range s {
 		x += 0x9e3779b97f4a7c15
-		s[i] = mix64(x)
+		s[i] = model.Mix64(x)
 	}
 	return s
 }()
-
-// mix64 is the splitmix64 finalizer: a cheap 64-bit permutation with good
-// avalanche, applied per (feature, seed) pair.
-func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
 
 // Sketch is a K-permutation MinHash summary of one instance's feature set.
 // It is immutable after NewSketch and safe to share across goroutines.
@@ -84,7 +80,7 @@ func NewSketch(features []uint64) *Sketch {
 	}
 	for _, f := range features {
 		for i := range s.vals {
-			if h := mix64(f ^ seeds[i]); h < s.vals[i] {
+			if h := model.Mix64(f ^ seeds[i]); h < s.vals[i] {
 				s.vals[i] = h
 			}
 		}

@@ -102,11 +102,6 @@ type Env struct {
 	leftImg  [][]Ref // flat left index -> matched right refs
 	rightImg [][]Ref // flat right index -> matched left refs
 
-	// attrOrders holds each relation's lexicographic attribute order
-	// (model.AttrOrder), aliased from the left PreparedSide: the contents
-	// are shared read-only state and must never be mutated.
-	attrOrders [][]int
-
 	// Stats counts the match-construction work done through this
 	// environment (see instcmp.ComparisonStats). Counters are plain ints:
 	// an Env is single-goroutine state, and parallel engines aggregate the
@@ -168,11 +163,6 @@ func NewEnv(left, right *model.Instance, mode Mode) (*Env, error) {
 	}
 	return NewEnvPrepared(l, r, mode)
 }
-
-// AttrOrder returns the cached lexicographic attribute order of a relation
-// (left and right agree: comparisons require equal schemas). The slice is
-// shared read-only state; callers must not mutate it.
-func (e *Env) AttrOrder(ri int) []int { return e.attrOrders[ri] }
 
 // Clone returns an independent copy of the environment: the immutable
 // comparison data (instances, coded relations, interner, flat index bases)

@@ -3,11 +3,10 @@ package match
 // This file implements the Prepare half of the engine's two-phase
 // Prepare/Compare API. A PreparedSide is everything about ONE instance that
 // a comparison needs and that does not depend on the partner: the relation
-// list, the sorted null inventory, the instance's self-coded integer rows,
-// and the signature algorithm's per-relation attribute orders. Preparing is
-// done once per instance; NewEnvPrepared then assembles a comparison
-// environment from two prepared sides without re-normalizing or re-interning
-// either one.
+// list, the sorted null inventory, and the instance's self-coded integer
+// rows. Preparing is done once per instance; NewEnvPrepared then assembles a
+// comparison environment from two prepared sides without re-normalizing or
+// re-interning either one.
 //
 // The joint ID space of a comparison is built by block: the left side's
 // self-coding is adopted verbatim (its frozen interner is extended, sharing
@@ -45,10 +44,6 @@ type PreparedSide struct {
 	// Vars is the instance's labeled nulls in sorted order; Vars[i] has
 	// self-ID i.
 	Vars []model.Value
-	// Orders caches each relation's lexicographic attribute order, the pure
-	// schema-derived state the signature algorithm re-derived per run before
-	// the Prepare/Compare split.
-	Orders [][]int
 
 	nTuples int
 }
@@ -64,19 +59,17 @@ func PrepareSide(inst *model.Instance) (*PreparedSide, error) {
 		}
 	}
 	p := &PreparedSide{
-		Inst:   inst,
-		Rels:   rels,
-		In:     model.NewInterner(),
-		Vars:   inst.SortedVars(),
-		Code:   make([]*model.CodedRelation, len(rels)),
-		Orders: make([][]int, len(rels)),
+		Inst: inst,
+		Rels: rels,
+		In:   model.NewInterner(),
+		Vars: inst.SortedVars(),
+		Code: make([]*model.CodedRelation, len(rels)),
 	}
 	for _, v := range p.Vars {
 		p.In.Intern(v)
 	}
 	for i, rel := range rels {
 		p.Code[i] = p.In.Code(rel)
-		p.Orders[i] = model.AttrOrder(rel)
 		p.nTuples += len(rel.Tuples)
 	}
 	return p, nil
@@ -86,12 +79,12 @@ func PrepareSide(inst *model.Instance) (*PreparedSide, error) {
 func (p *PreparedSide) NumTuples() int { return p.nTuples }
 
 // WithRelations returns a view of the prepared side over a renamed schema:
-// the coded rows, interner, null inventory, and attribute orders are shared
-// (none of them depend on relation names), only the instance and relation
-// list differ. The caller must pass relations with identical attribute
-// lists in identical order; lake ranking uses this to align a
-// single-relation candidate's table name with the example's without
-// re-preparing the candidate.
+// the coded rows, interner, and null inventory are shared (none of them
+// depend on relation names), only the instance and relation list differ.
+// The caller must pass relations with identical attribute lists in
+// identical order; lake ranking uses this to align a single-relation
+// candidate's table name with the example's without re-preparing the
+// candidate.
 func (p *PreparedSide) WithRelations(inst *model.Instance) *PreparedSide {
 	v := *p
 	v.Inst = inst
@@ -130,17 +123,16 @@ func NewEnvPrepared(l, r *PreparedSide, mode Mode) (*Env, error) {
 		u.AddNullID(table[i], unify.Right)
 	}
 	e := &Env{
-		Left:       l.Inst,
-		Right:      r.Inst,
-		LRels:      l.Rels,
-		RRels:      r.Rels,
-		LCode:      l.Code,
-		LVars:      l.Vars,
-		RVars:      r.Vars,
-		In:         in,
-		U:          u,
-		Mode:       mode,
-		attrOrders: l.Orders,
+		Left:  l.Inst,
+		Right: r.Inst,
+		LRels: l.Rels,
+		RRels: r.Rels,
+		LCode: l.Code,
+		LVars: l.Vars,
+		RVars: r.Vars,
+		In:    in,
+		U:     u,
+		Mode:  mode,
 	}
 	e.RCode = make([]*model.CodedRelation, len(r.Code))
 	for i, c := range r.Code {

@@ -9,8 +9,7 @@ package model
 // format (internal/lakeindex), so changing them requires bumping
 // lakeindex.SeedVersion to invalidate old index files.
 
-// FNV-1a constants, shared with the signature algorithm's per-comparison
-// (attribute, ValueID) hashing.
+// FNV-1a constants.
 const (
 	fnvOffset uint64 = 14695981039346656037
 	fnvPrime  uint64 = 1099511628211
@@ -50,6 +49,15 @@ func NameHash(s string) uint64 {
 		h *= fnvPrime
 	}
 	return h
+}
+
+// Mix64 is the splitmix64 finalizer: a cheap 64-bit permutation with good
+// avalanche. The lake's MinHash sketches apply it per (feature, seed) pair
+// and the signature algorithm per (attribute, ValueID) cell.
+func Mix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }
 
 // MixHash folds two 64-bit hashes into one with an FNV-1a step, the

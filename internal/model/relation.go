@@ -28,21 +28,6 @@ func (r *Relation) AttrIndex(attr string) int {
 	return slices.Index(r.Attrs, attr)
 }
 
-// AttrOrder returns the relation's attribute positions sorted
-// lexicographically by attribute name — the canonical enumeration order of
-// the signature algorithm's hashes (Def. 6.2). It is a pure function of the
-// schema, computed once per prepared instance and reused across runs.
-func AttrOrder(r *Relation) []int {
-	order := make([]int, r.Arity())
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortFunc(order, func(i, j int) int {
-		return strings.Compare(r.Attrs[i], r.Attrs[j])
-	})
-	return order
-}
-
 // Tuple returns the tuple with the given identifier, or nil if absent.
 func (r *Relation) Tuple(id TupleID) *Tuple {
 	for i := range r.Tuples {

@@ -3,7 +3,10 @@ package signature
 import (
 	"context"
 	"testing"
+	"time"
 
+	"instcmp/internal/datasets"
+	"instcmp/internal/generator"
 	"instcmp/internal/match"
 	"instcmp/internal/model"
 )
@@ -52,5 +55,30 @@ func TestRunContextCanceled(t *testing.T) {
 	}
 	if full.Score != 1 {
 		t.Errorf("full score = %v, want 1 (null-renamed copy)", full.Score)
+	}
+}
+
+// TestPartialWideDeadline: partial mode indexes every subset of a row's
+// constant attributes, 2^19 of them on the 19-attribute Git relation, so the
+// signature-map build must poll for cancellation between subsets, not only
+// between rows. A run over 20 rows answers its deadline promptly.
+func TestPartialWideDeadline(t *testing.T) {
+	base, err := datasets.Generate(datasets.Git, 20, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := generator.Make(base, generator.Noise{CellPct: 0.05, NullReuse: 0.3, Seed: 42})
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	res, err := Run(ctx, gen.Source, gen.Target, match.OneToOne, Options{Lambda: lambda, Partial: true, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("run with a 100ms deadline returned after %v", elapsed)
+	}
+	if res.Stopped != StoppedCanceled {
+		t.Errorf("Stopped = %q, want %q", res.Stopped, StoppedCanceled)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"instcmp/internal/datasets"
 	"instcmp/internal/generator"
 	"instcmp/internal/match"
+	"instcmp/internal/strsim"
 )
 
 // TestRunBlocksOrderedCommit pins the pipeline helper itself: every block
@@ -101,8 +102,9 @@ type pinnedRun struct {
 }
 
 // invarianceScenarios are Table-2- and Table-3-shaped workloads large
-// enough to cross the fan-out gates, plus a rescue-heavy and a
-// partial-mode variant.
+// enough to cross the fan-out gates, plus a rescue-heavy and two
+// partial-mode variants; the Bike cases are the benchmark's pairs-large
+// Bike shapes, scaled to cross the gates.
 var invarianceScenarios = []struct {
 	label string
 	name  datasets.Name
@@ -161,6 +163,28 @@ var invarianceScenarios = []struct {
 		mode:  match.OneToOne,
 		opt:   Options{Lambda: 0.5, Partial: true, MinPartialSig: 2},
 		want:  pinnedRun{0x3fe9003a4114b520, 0x3fe8fc21ad9ff8b6, 1174, 1173, 1, match.EnvStats{PairAttempts: 1216, PairRejects: 42, ScoreEvals: 2347}},
+	},
+	{
+		// pairs-large's Bike n-to-m shape: Table 3 noise, rescue-heavy.
+		label: "table3-bike",
+		name:  datasets.Bike, rows: 600,
+		noise:              generator.Noise{CellPct: 0.05, NullReuse: 0.3, RandomPct: 0.10, RedundantPct: 0.10},
+		mode:               match.ManyToMany,
+		opt:                Options{Lambda: 0.5},
+		wantRescueTasks:    true,
+		wantCompleteBlocks: true,
+		want:               pinnedRun{0x3fe2a1c93360ab58, 0x3fe2a1c93360ab58, 484, 484, 0, match.EnvStats{PairAttempts: 2259, PairRejects: 1605, ScoreEvals: 1622}},
+	},
+	{
+		// pairs-large's Bike partial shape: n-to-m partial matching with
+		// Levenshtein similarity on conflicting constants.
+		label: "partial-bike-levenshtein",
+		name:  datasets.Bike, rows: 520,
+		noise:              generator.Noise{CellPct: 0.05, NullReuse: 0.3},
+		mode:               match.ManyToMany,
+		opt:                Options{Lambda: 0.5, Partial: true, ConstSim: strsim.Levenshtein},
+		wantCompleteBlocks: true,
+		want:               pinnedRun{0x3fe11fa02994f139, 0x3fe11fa02994f139, 82114, 82114, 0, match.EnvStats{PairAttempts: 989225, PairRejects: 907111, ScoreEvals: 164228}},
 	},
 }
 

@@ -24,10 +24,8 @@
 package signature
 
 import (
-	"cmp"
 	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -180,12 +178,12 @@ func parallelFor(workers, n int, fn func(int)) {
 	wg.Wait()
 }
 
-// sigItem is one record of the sigMap build: a row's signature hash under
-// one indexed pattern, plus the row position. Shard filling replays items
-// in row order, so bucket contents are in row order.
+// sigItem is one record of a sigTable fill: a row's signature hash under
+// one pattern, plus the row position. slot is fill's scratch: the item's
+// table slot, recorded by the counting pass for the placement pass.
 type sigItem struct {
-	h  uint64
-	ti int32
+	h        uint64
+	ti, slot int32
 }
 
 // buildBlock is one hashing block of the sigMap build; the runner keeps
@@ -196,28 +194,23 @@ type buildBlock struct {
 	seen  map[uint64]bool
 }
 
-// buildSigMap indexes every row of the coded relation. In the default mode
-// each row is indexed once, under its maximal signature (Alg. 4 line 3). In
-// partial mode each row is indexed under every signature with at least
-// MinPartialSig attributes (Sec. 6.3).
+// buildSigMap indexes every row of the coded relation into the runner's
+// sigTable and returns it with the distinct indexed patterns, largest
+// first. In the default mode each row is indexed once, under its maximal
+// signature (Alg. 4 line 3). In partial mode each row is indexed under
+// every signature with at least MinPartialSig attributes (Sec. 6.3).
 //
-// The build runs in two steps. Step 1 hashes fixed-size row blocks, each
-// block recording its (hash, row) items in row order plus the distinct
-// patterns it saw. Step 2 gives each shard — the hashes whose low bits
-// select it — its own map and replays every block in order into it, so
-// bucket contents end up in row order without any cross-shard merge. The
-// pattern list is the sorted, deduplicated union of the per-block pattern
-// sets; sortPatterns is a total order over distinct masks, so it is
-// independent of discovery order. Cancellation is polled every cancelPollInterval
-// rows; a canceled build may stay partial, which is safe because the scan
-// that consumes it polls before its first row and bails out immediately.
-func (s *runner) buildSigMap(crel *model.CodedRelation, order []int) *sigMap {
+// The build runs in two steps. Step 1 hashes fixed-size row blocks, fanned
+// out, each block recording its (hash, row) items in row order plus the
+// distinct patterns it saw. Step 2 fills the table from the blocks in
+// order, so bucket contents are in row order. The pattern list is the
+// sorted, deduplicated union of the per-block pattern sets; sortPatterns is
+// a total order over distinct masks, so it is independent of discovery
+// order. Cancellation is polled every cancelPollInterval subsets hashed, so
+// partial mode's enumeration of 2^|ground| subsets per row answers it too;
+// a canceled build leaves the table empty.
+func (s *runner) buildSigMap(crel *model.CodedRelation) (*sigTable, []uint64) {
 	rows := crel.Rows()
-	w := s.fanOut(rows)
-	nshards := 1
-	for nshards < w {
-		nshards <<= 1
-	}
 	partial, minSig := s.opt.Partial, max(s.opt.MinPartialSig, 1)
 	nBlocks := (rows + sigBuildBlockRows - 1) / sigBuildBlockRows
 	for len(s.buildBlocks) < nBlocks {
@@ -225,74 +218,54 @@ func (s *runner) buildSigMap(crel *model.CodedRelation, order []int) *sigMap {
 	}
 	blocks := s.buildBlocks[:nBlocks]
 	ctx := s.ctx
-	parallelFor(w, nBlocks, func(b int) {
+	parallelFor(s.fanOut(rows), nBlocks, func(b int) {
 		start := b * sigBuildBlockRows
 		end := min(start+sigBuildBlockRows, rows)
 		bb := &blocks[b]
 		bb.items, bb.masks = bb.items[:0], bb.masks[:0]
 		clear(bb.seen)
-		add := func(ti int, row []model.ValueID, mask uint64) {
+		hashed := 0
+		add := func(ti int, mask, h uint64) {
 			if !bb.seen[mask] {
 				bb.seen[mask] = true
 				bb.masks = append(bb.masks, mask)
 			}
-			bb.items = append(bb.items, sigItem{h: sigHash(row, mask, order), ti: int32(ti)})
+			bb.items = append(bb.items, sigItem{h: h, ti: int32(ti)})
 		}
 		for ti := start; ti < end; ti++ {
-			if (ti-start)%cancelPollInterval == 0 && ctx.Err() != nil {
-				break
-			}
-			row, maxMask := crel.Row(ti), crel.Masks[ti]
-			if !partial {
-				add(ti, row, maxMask)
-				continue
-			}
-			for sub := maxMask; ; sub = (sub - 1) & maxMask {
-				if bits.OnesCount64(sub) >= minSig {
-					add(ti, row, sub)
+			row, ground := crel.Row(ti), crel.Masks[ti]
+			hg := sigHash(row, ground)
+			for sub := ground; ; sub = (sub - 1) & ground {
+				if hashed%cancelPollInterval == 0 && ctx.Err() != nil {
+					return
 				}
-				if sub == 0 {
+				hashed++
+				if !partial || bits.OnesCount64(sub) >= minSig {
+					add(ti, sub, subHash(row, ground, hg, sub))
+				}
+				if !partial || sub == 0 {
 					break
 				}
 			}
 		}
 	})
-	for len(s.shards) < nshards {
-		s.shards = append(s.shards, make(map[uint64][]int, rows/nshards+1))
-	}
-	m := &s.sm
-	*m = sigMap{shards: s.shards[:nshards], mask: uint64(nshards - 1), patterns: s.patScratch[:0]}
-	parallelFor(w, nshards, func(sh int) {
-		want := uint64(sh)
-		bySig := m.shards[sh]
-		clear(bySig)
-		for _, bb := range blocks {
-			if ctx.Err() != nil {
-				break
-			}
-			for _, it := range bb.items {
-				if it.h&m.mask == want {
-					bySig[it.h] = append(bySig[it.h], int(it.ti))
-				}
-			}
-		}
-	})
+	s.sigs.fill(ctx, nBlocks, func(b int) []sigItem { return blocks[b].items })
+	s.patterns = s.patterns[:0]
 	for _, bb := range blocks {
-		m.patterns = append(m.patterns, bb.masks...)
+		s.patterns = append(s.patterns, bb.masks...)
 	}
 	// Sorting brings a pattern's copies from different blocks together.
-	sortPatterns(m.patterns)
-	m.patterns = slices.Compact(m.patterns)
-	s.patScratch = m.patterns
-	return m
+	sortPatterns(s.patterns)
+	s.patterns = slices.Compact(s.patterns)
+	return &s.sigs, s.patterns
 }
 
 // scanBlock is one produced unit of a pass scan: for each row of the
-// block, the signature-map buckets its eligible patterns hit, flattened in
-// probe order. The bucket slices are the sigMap's own (read-only).
+// block, the signature-table buckets its eligible patterns hit, flattened
+// in probe order. The bucket slices are the sigTable's own (read-only).
 type scanBlock struct {
 	nbkts   []int32 // per row of the block: how many bucket refs follow
-	buckets [][]int
+	buckets [][]int32
 }
 
 // pass runs FindSigMatches (Alg. 4) for one relation in one direction.
@@ -311,8 +284,7 @@ func (s *runner) pass(ri int, mapLeft bool) {
 		mapCode, scanCode = scanCode, mapCode
 		mapSaturated, scanSaturated = s.rightSaturated, s.leftSaturated
 	}
-	order := s.order(ri)
-	sm := s.buildSigMap(mapCode, order)
+	sigs, patterns := s.buildSigMap(mapCode)
 	mkPair := func(mapIdx, scanIdx int) match.Pair {
 		if mapLeft {
 			return match.Pair{L: match.Ref{Rel: ri, Idx: mapIdx}, R: match.Ref{Rel: ri, Idx: scanIdx}}
@@ -336,11 +308,12 @@ func (s *runner) pass(ri int, mapLeft bool) {
 				break
 			}
 			row, ground := scanCode.Row(si), scanCode.Masks[si]
-			for _, pm := range sm.patterns {
+			hg := sigHash(row, ground)
+			for _, pm := range patterns {
 				if pm&^ground != 0 {
 					continue // pattern uses an attribute that is null in t
 				}
-				if bkt := sm.bucket(sigHash(row, pm, order)); len(bkt) > 0 {
+				if bkt := sigs.bucket(subHash(row, ground, hg, pm)); len(bkt) > 0 {
 					bb.buckets = append(bb.buckets, bkt)
 					bb.nbkts[si-start]++
 				}
@@ -361,10 +334,10 @@ func (s *runner) pass(ri int, mapLeft bool) {
 			k += int(n)
 			for _, bkt := range rowBkts {
 				for _, mi := range bkt {
-					if mapSaturated(match.Ref{Rel: ri, Idx: mi}) {
+					if mapSaturated(match.Ref{Rel: ri, Idx: int(mi)}) {
 						continue
 					}
-					if !s.tryPair(mkPair(mi, si)) {
+					if !s.tryPair(mkPair(int(mi), si)) {
 						continue
 					}
 					if scanSaturated(match.Ref{Rel: ri, Idx: si}) {
@@ -381,20 +354,14 @@ func (s *runner) pass(ri int, mapLeft bool) {
 // enumerates; anything beyond falls through to the completion step.
 const maxRescueMasks = 256
 
-// sigEntry is one row of rescue's sorted hash index: the row's
-// sub-signature hash and its position.
-type sigEntry struct {
-	h  uint64
-	li int32
-}
-
-// rescueTask is one produced unit of a rescue round (one mask): the hash
-// index over the mask-eligible unmatched left rows, sorted by hash (stable,
-// so equal-hash entries stay in leftUn order), plus the hash probes of the
-// mask-eligible unmatched right rows in rightUn order.
+// rescueTask is one produced unit of a rescue round (one mask): the
+// signature table over the mask-eligible unmatched left rows, whose runs
+// are in leftUn order, plus the hash probes of the mask-eligible unmatched
+// right rows in rightUn order (ti holds the right row index).
 type rescueTask struct {
-	entries []sigEntry
-	probes  []sigEntry // li holds the right row index here
+	entries []sigItem
+	table   sigTable
+	probes  []sigItem
 }
 
 // rescue probes tuples that remain unmatched after both maximal-signature
@@ -414,11 +381,15 @@ type rescueTask struct {
 // across masks in mask order.
 func (s *runner) rescue(ri int) {
 	lcode, rcode := s.env.LCode[ri], s.env.RCode[ri]
-	order := s.order(ri)
 
-	unmatched := func(crel *model.CodedRelation, left bool) []int {
-		var out []int
+	// unmatched lists a side's unmatched rows with their ground-mask
+	// hashes, from which each mask's sub-signature hash is derived.
+	unmatched := func(crel *model.CodedRelation, left bool) []sigItem {
+		var out []sigItem
 		for ti := 0; ti < crel.Rows(); ti++ {
+			if ti%cancelPollInterval == 0 && s.canceled() {
+				return nil
+			}
 			ref := match.Ref{Rel: ri, Idx: ti}
 			var deg int
 			if left {
@@ -427,7 +398,7 @@ func (s *runner) rescue(ri int) {
 				deg = s.env.RightDegree(ref)
 			}
 			if deg == 0 {
-				out = append(out, ti)
+				out = append(out, sigItem{h: sigHash(crel.Row(ti), crel.Masks[ti]), ti: int32(ti)})
 			}
 		}
 		return out
@@ -437,11 +408,11 @@ func (s *runner) rescue(ri int) {
 		return
 	}
 
-	distinctMasks := func(crel *model.CodedRelation, idxs []int) []uint64 {
+	distinctMasks := func(crel *model.CodedRelation, un []sigItem) []uint64 {
 		seen := map[uint64]bool{}
 		var out []uint64
-		for _, ti := range idxs {
-			m := crel.Masks[ti]
+		for _, u := range un {
+			m := crel.Masks[u.ti]
 			if !seen[m] {
 				seen[m] = true
 				out = append(out, m)
@@ -472,26 +443,24 @@ func (s *runner) rescue(ri int) {
 	}
 
 	ctx := s.ctx
+	// eligible appends the mask-m sub-signature items of the rows of un
+	// whose ground covers m.
+	eligible := func(items []sigItem, crel *model.CodedRelation, un []sigItem, m uint64) []sigItem {
+		for n, u := range un {
+			if n%cancelPollInterval == 0 && ctx.Err() != nil {
+				break // fill and commit see the cancel too
+			}
+			if ground := crel.Masks[u.ti]; ground&m == m {
+				items = append(items, sigItem{h: subHash(crel.Row(int(u.ti)), ground, u.h, m), ti: u.ti})
+			}
+		}
+		return items
+	}
 	produce := func(_ struct{}, t rescueTask, mi int) rescueTask {
-		m := masks[mi]
-		t.entries, t.probes = t.entries[:0], t.probes[:0]
-		for n, li := range leftUn {
-			if n%cancelPollInterval == 0 && ctx.Err() != nil {
-				return t
-			}
-			if lcode.Masks[li]&m == m {
-				t.entries = append(t.entries, sigEntry{h: sigHash(lcode.Row(li), m, order), li: int32(li)})
-			}
-		}
-		slices.SortStableFunc(t.entries, func(a, b sigEntry) int { return cmp.Compare(a.h, b.h) })
-		for n, ci := range rightUn {
-			if n%cancelPollInterval == 0 && ctx.Err() != nil {
-				return t
-			}
-			if rcode.Masks[ci]&m == m {
-				t.probes = append(t.probes, sigEntry{h: sigHash(rcode.Row(ci), m, order), li: int32(ci)})
-			}
-		}
+		t.entries = eligible(t.entries[:0], lcode, leftUn, masks[mi])
+		// fill leaves the table empty if the cancel cut entries short.
+		t.table.fill(ctx, 1, func(int) []sigItem { return t.entries })
+		t.probes = eligible(t.probes[:0], rcode, rightUn, masks[mi])
 		return t
 	}
 	// Tuple pairs share many mask intersections; attempt each pair once.
@@ -502,15 +471,13 @@ func (s *runner) rescue(ri int) {
 			if n%cancelPollInterval == 0 && s.canceled() {
 				return
 			}
-			ci := int(pr.li)
+			ci := int(pr.ti)
 			rref := match.Ref{Rel: ri, Idx: ci}
 			if s.rightSaturated(rref) {
 				continue
 			}
-			h := pr.h
-			lo := sort.Search(len(t.entries), func(i int) bool { return t.entries[i].h >= h })
-			for j := lo; j < len(t.entries) && t.entries[j].h == h; j++ {
-				li := int(t.entries[j].li)
+			for _, li32 := range t.table.bucket(pr.h) {
+				li := int(li32)
 				lref := match.Ref{Rel: ri, Idx: li}
 				if s.leftSaturated(lref) {
 					continue
@@ -526,8 +493,11 @@ func (s *runner) rescue(ri int) {
 			}
 		}
 	}
-	var spare rescueTask
+	// The passes' signature table is dead until the next pass refills it,
+	// so the rescue's first payload reuses its buffers and hands them back.
+	spare := rescueTask{table: s.sigs}
 	s.rescueTasks += runBlocks(s.fanOut(len(leftUn)+len(rightUn)), len(masks), &spare, noState, produce, commit)
+	s.sigs = spare.table
 }
 
 // candBlock is one produced unit of a completion scan: for each left row

@@ -17,10 +17,11 @@
 // size and combinatorial only in the number of distinct null patterns.
 //
 // The whole phase runs on the comparison's integer-coded representation:
-// signatures are FNV-1a hashes over (attribute, ValueID) sequences instead
-// of built strings, ground masks are precomputed per coded row, and the
-// greedy bookkeeping (per-tuple score sums) lives in flat arrays indexed by
-// flattened tuple position.
+// a signature hashes to the XOR of one mixed 64-bit word per (attribute,
+// ValueID) cell instead of a built string, both signature indexes are one
+// flat open-addressing table (sigTable), ground masks are precomputed per
+// coded row, and the greedy bookkeeping (per-tuple score sums) lives in
+// flat arrays indexed by flattened tuple position.
 package signature
 
 import (
@@ -239,14 +240,13 @@ type runner struct {
 	// backing the net-gain guard in tryPair. Indexed by flattened tuple
 	// position.
 	sumL, sumR []float64
-	// sm, buildBlocks, shards, and patScratch are buildSigMap scratch
-	// reused across the four builds per relation (two rounds × two
-	// directions) and across relations: the previous pass's sigMap is
-	// dead by the time the next one is built.
-	sm          sigMap
+	// sigs, patterns, and buildBlocks are buildSigMap scratch reused
+	// across the four builds per relation (two rounds × two directions)
+	// and across relations: the previous pass's index is dead by the time
+	// the next one is built.
+	sigs        sigTable
+	patterns    []uint64
 	buildBlocks []buildBlock
-	shards      []map[uint64][]int
-	patScratch  []uint64
 	// scanSpare is the pass scan's inline payload, handed back to the
 	// next pass for reuse.
 	scanSpare scanBlock
@@ -258,12 +258,6 @@ type runner struct {
 	// goroutine running the phases; pipeline workers poll ctx directly.
 	stopped bool
 }
-
-// order returns the environment's cached lexicographic attribute order of a
-// relation. Environments built from prepared instances carry the order
-// precomputed at Prepare time, so repeated runs against the same prepared
-// side never re-derive it.
-func (s *runner) order(ri int) []int { return s.env.AttrOrder(ri) }
 
 // cancelPollInterval bounds how many tuples a scan processes between
 // context polls: lakes are dominated by single-relation instances, so
@@ -289,48 +283,126 @@ func (s *runner) rightSaturated(ref match.Ref) bool {
 	return s.env.Mode.RightInjective && s.env.RightDegree(ref) > 0
 }
 
-// FNV-1a constants for sigHash.
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
 // sigHash hashes the Def. 6.2 signature of a coded row on the attribute set
-// given as a bitmask: an FNV-1a hash of the (attribute, ValueID) sequence
-// in lexicographic attribute order. With interned cells this touches 8
-// bytes per attribute instead of rebuilding and hashing the value strings.
-// Hash collisions are harmless — a colliding candidate merely reaches the
-// pair-compatibility check (TryAddPair / TryAddPartialPair), which verifies
-// the real values — so hashing only ever adds spurious candidates, never
-// drops real ones.
-func sigHash(row []model.ValueID, mask uint64, attrOrder []int) uint64 {
-	h := uint64(fnvOffset)
-	for _, a := range attrOrder {
-		if mask&(1<<a) == 0 {
-			continue
-		}
-		h ^= uint64(a) + 1
-		h *= fnvPrime
-		h ^= uint64(uint32(row[a]))
-		h *= fnvPrime
+// given as a bitmask: the XOR of cellHash over the set's attributes. The
+// XOR is order-free, so no attribute order is needed, and it is cheap on
+// subsets: for S ⊆ G, sigHash(row, S) == sigHash(row, G) ^
+// sigHash(row, G&^S) (see subHash). Hash collisions are harmless — a
+// colliding candidate merely reaches the pair-compatibility check
+// (TryAddPair / TryAddPartialPair), which verifies the real values — so
+// hashing only ever adds spurious candidates, never drops real ones.
+func sigHash(row []model.ValueID, mask uint64) uint64 {
+	var h uint64
+	for m := mask; m != 0; m &= m - 1 {
+		a := bits.TrailingZeros64(m)
+		h ^= cellHash(a, row[a])
 	}
 	return h
 }
 
-// sigMap indexes the rows of one coded relation side by signature hashes.
-// Buckets are split across power-of-two shards keyed by the low hash bits,
-// so a fanned-out build can fill shards independently; an inline build
-// uses a single shard. Bucket contents are in row order either way, which
-// the scan's commit order relies on.
-type sigMap struct {
-	shards   []map[uint64][]int
-	mask     uint64   // len(shards) - 1
-	patterns []uint64 // distinct indexed attribute sets, largest first
+// cellHash mixes one (attribute, ValueID) cell into 64 bits with the
+// splitmix64 finalizer. The attribute is offset by one so that no cell
+// maps to the finalizer's fixed point 0, which would make a signature
+// with that cell collide with the signature without it.
+func cellHash(a int, id model.ValueID) uint64 {
+	return model.Mix64(uint64(a+1)<<32 | uint64(uint32(id)))
 }
 
-// bucket returns the rows indexed under the given signature hash.
-func (m *sigMap) bucket(sig uint64) []int {
-	return m.shards[sig&m.mask][sig]
+// subHash returns sigHash(row, sub) for sub ⊆ ground, given
+// hg = sigHash(row, ground), hashing whichever of sub and the dropped
+// attributes ground&^sub is smaller.
+func subHash(row []model.ValueID, ground, hg, sub uint64) uint64 {
+	if drop := ground &^ sub; bits.OnesCount64(drop) < bits.OnesCount64(sub) {
+		return hg ^ sigHash(row, drop)
+	}
+	return sigHash(row, sub)
+}
+
+// sigTable indexes row positions by signature hash: an open-addressing
+// table of power-of-two size and load at most 1/2, whose slots point at
+// runs of one flat row array. It holds no map and no pointers, so the
+// runner reuses it across builds and the GC never scans it.
+type sigTable struct {
+	slots []sigSlot
+	rows  []int32
+}
+
+// sigSlot is one table slot: the rows indexed under hash h are
+// rows[off:off+n]. n == 0 marks an empty slot.
+type sigSlot struct {
+	h      uint64
+	off, n int32
+}
+
+// fill indexes the items of chunks 0..nChunks-1, taken in order, so that
+// bucket(h) lists the ti of every item with hash h in item order. It runs
+// in two passes: counting run lengths, then placing rows in reverse item
+// order from the end of each run. If ctx is canceled, fill leaves the
+// table empty, so every probe stays in bounds.
+func (t *sigTable) fill(ctx context.Context, nChunks int, chunk func(int) []sigItem) {
+	nItems := 0
+	for c := 0; c < nChunks; c++ {
+		nItems += len(chunk(c))
+	}
+	size := 1
+	for size < 2*nItems {
+		size <<= 1
+	}
+	t.slots = slices.Grow(t.slots[:0], size)[:size]
+	clear(t.slots)
+	mask := uint64(size - 1)
+	for c := 0; c < nChunks; c++ {
+		items := chunk(c)
+		for i := range items {
+			if i%cancelPollInterval == 0 && ctx.Err() != nil {
+				t.empty()
+				return
+			}
+			j := items[i].h & mask
+			for t.slots[j].n != 0 && t.slots[j].h != items[i].h {
+				j = (j + 1) & mask
+			}
+			t.slots[j].h = items[i].h
+			t.slots[j].n++
+			items[i].slot = int32(j)
+		}
+	}
+	var end int32
+	for j := range t.slots {
+		end += t.slots[j].n
+		t.slots[j].off = end
+	}
+	t.rows = slices.Grow(t.rows[:0], nItems)[:nItems]
+	for c := nChunks - 1; c >= 0; c-- {
+		if ctx.Err() != nil {
+			t.empty()
+			return
+		}
+		items := chunk(c)
+		for i := len(items) - 1; i >= 0; i-- {
+			sl := &t.slots[items[i].slot]
+			sl.off--
+			t.rows[sl.off] = items[i].ti
+		}
+	}
+}
+
+// empty leaves the table with one empty slot and no rows.
+func (t *sigTable) empty() {
+	t.slots = append(t.slots[:0], sigSlot{})
+	t.rows = t.rows[:0]
+}
+
+// bucket returns the rows indexed under the given signature hash, in item
+// order; nil when there are none.
+func (t *sigTable) bucket(h uint64) []int32 {
+	mask := uint64(len(t.slots) - 1)
+	for j := h & mask; t.slots[j].n != 0; j = (j + 1) & mask {
+		if sl := t.slots[j]; sl.h == h {
+			return t.rows[sl.off : sl.off+sl.n]
+		}
+	}
+	return nil
 }
 
 // sortPatterns orders distinct signature masks canonically: larger

@@ -1,0 +1,208 @@
+package signature
+
+import (
+	"context"
+	"math/bits"
+	"math/rand"
+	"slices"
+	"sync/atomic"
+	"testing"
+
+	"instcmp/internal/model"
+)
+
+// randomChunks draws a sigTable fill input: up to maxChunks chunks (some
+// empty) of items whose hashes come from a small pool, so runs are long,
+// and whose low bits often coincide, so probe chains are long. Hash 0 is
+// always in the pool.
+func randomChunks(rng *rand.Rand, maxChunks int) ([][]sigItem, []uint64) {
+	pool := []uint64{0}
+	for i := rng.Intn(12); i > 0; i-- {
+		h := rng.Uint64()
+		if rng.Intn(2) == 0 {
+			h <<= 40 // low bits zero: every such hash starts at slot 0
+		}
+		pool = append(pool, h)
+	}
+	chunks := make([][]sigItem, rng.Intn(maxChunks+1))
+	ti := int32(0)
+	for c := range chunks {
+		n := rng.Intn(40)
+		if rng.Intn(4) == 0 {
+			n = 0
+		}
+		for i := 0; i < n; i++ {
+			h := pool[0]
+			if rng.Intn(3) != 0 {
+				h = pool[rng.Intn(len(pool))]
+			}
+			chunks[c] = append(chunks[c], sigItem{h: h, ti: ti})
+			ti += int32(1 + rng.Intn(3))
+		}
+	}
+	return chunks, pool
+}
+
+// mapIndex is the reference index: rows appended per hash in item order.
+func mapIndex(chunks [][]sigItem) map[uint64][]int32 {
+	ref := map[uint64][]int32{}
+	for _, items := range chunks {
+		for _, it := range items {
+			ref[it.h] = append(ref[it.h], it.ti)
+		}
+	}
+	return ref
+}
+
+// TestSigTableMatchesMapIndex pins sigTable against a map index built by
+// appending in item order: every present hash returns the same rows in the
+// same order, and absent hashes return nothing. One table is reused across
+// fills, as the runner reuses its tables.
+func TestSigTableMatchesMapIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var tab sigTable
+	for iter := 0; iter < 500; iter++ {
+		chunks, pool := randomChunks(rng, 6)
+		tab.fill(context.Background(), len(chunks), func(c int) []sigItem { return chunks[c] })
+		ref := mapIndex(chunks)
+		probes := append(slices.Clone(pool), rng.Uint64(), rng.Uint64()<<40, 1<<40)
+		for _, h := range probes {
+			got, want := tab.bucket(h), ref[h]
+			if !slices.Equal(got, want) {
+				t.Fatalf("iter %d: bucket(%#x) = %v, map index %v", iter, h, got, want)
+			}
+		}
+		if n := len(tab.slots); n&(n-1) != 0 || n < 2*len(ref) {
+			t.Fatalf("iter %d: %d slots for %d hashes: not a power of two at load <= 1/2", iter, n, len(ref))
+		}
+	}
+}
+
+// countdownCtx reports cancellation from its n-th Err call on.
+type countdownCtx struct {
+	context.Context
+	n atomic.Int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.n.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSigTableCanceledFill cancels fills at every poll: the table must come
+// out either complete or empty, never with runs pointing at unplaced or
+// stale rows, even when it held a larger index before.
+func TestSigTableCanceledFill(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	var tab sigTable
+	for iter := 0; iter < 200; iter++ {
+		chunks, pool := randomChunks(rng, 8)
+		ref := mapIndex(chunks)
+		for polls := int64(0); ; polls++ {
+			// A stale index with other rows under the same hashes.
+			stale := [][]sigItem{{{h: pool[0], ti: 1 << 20}, {h: pool[len(pool)-1], ti: 1 << 21}}}
+			tab.fill(context.Background(), 1, func(int) []sigItem { return stale[0] })
+			ctx := &countdownCtx{Context: context.Background()}
+			ctx.n.Store(polls)
+			tab.fill(ctx, len(chunks), func(c int) []sigItem { return chunks[c] })
+			complete := ctx.n.Load() >= 0
+			for _, h := range pool {
+				got := tab.bucket(h)
+				if complete && !slices.Equal(got, ref[h]) {
+					t.Fatalf("iter %d: uncanceled fill: bucket(%#x) = %v, want %v", iter, h, got, ref[h])
+				}
+				if !complete && len(got) != 0 {
+					t.Fatalf("iter %d: fill canceled at poll %d: bucket(%#x) = %v, want empty", iter, polls, h, got)
+				}
+			}
+			if complete {
+				break
+			}
+		}
+	}
+}
+
+// TestSigTableCanceledBuild builds a signature map under a canceled context
+// after a complete build of a larger relation: every probe of the result
+// must stay inside the smaller relation.
+func TestSigTableCanceledBuild(t *testing.T) {
+	mk := func(rows int) *model.CodedRelation {
+		vals := make([][]model.Value, rows)
+		for i := range vals {
+			vals[i] = []model.Value{c(model.Constf("a%d", i%7).Raw()), c(model.Constf("b%d", i%5).Raw()), n(model.Nullf("N%d", i).Raw())}
+		}
+		inst := build(vals)
+		return model.NewInterner().Code(inst.Relations()[0])
+	}
+	big, small := mk(3000), mk(40)
+	for _, partial := range []bool{false, true} {
+		s := &runner{ctx: context.Background(), opt: Options{Partial: partial}, workers: 2}
+		s.buildSigMap(big)
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		s.ctx = ctx
+		sigs, patterns := s.buildSigMap(small)
+		for ti := 0; ti < small.Rows(); ti++ {
+			row, ground := small.Row(ti), small.Masks[ti]
+			for _, pm := range patterns {
+				if pm&^ground != 0 {
+					continue
+				}
+				for _, mi := range sigs.bucket(sigHash(row, pm)) {
+					if int(mi) >= small.Rows() {
+						t.Fatalf("partial=%v: canceled build returned row %d of a %d-row relation", partial, mi, small.Rows())
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSigHashSubsetIdentity checks the XOR hash's algebra on random rows
+// and masks: sigHash is the XOR of its cells' hashes, so for S ⊆ G,
+// sigHash(S) == sigHash(G) ^ sigHash(G&^S), and subHash computes it
+// either way. No cell hashes to 0, so dropping an attribute always changes
+// the signature's hash.
+func TestSigHashSubsetIdentity(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for iter := 0; iter < 2000; iter++ {
+		arity := 1 + rng.Intn(64)
+		row := make([]model.ValueID, arity)
+		for a := range row {
+			row[a] = model.ValueID(rng.Intn(1 + rng.Intn(1000)))
+		}
+		full := ^uint64(0) >> (64 - arity)
+		g := rng.Uint64() & full
+		sub := rng.Uint64() & g
+		perCell := func(mask uint64) uint64 {
+			var h uint64
+			for a := 0; a < arity; a++ {
+				if mask&(1<<a) != 0 {
+					h ^= cellHash(a, row[a])
+				}
+			}
+			return h
+		}
+		hg := sigHash(row, g)
+		if hg != perCell(g) {
+			t.Fatalf("sigHash(%#x) = %#x, per-cell XOR %#x", g, hg, perCell(g))
+		}
+		hs := sigHash(row, sub)
+		if hs != hg^sigHash(row, g&^sub) {
+			t.Fatalf("sigHash(%#x) = %#x, sigHash(%#x) ^ sigHash(%#x) = %#x", sub, hs, g, g&^sub, hg^sigHash(row, g&^sub))
+		}
+		if got := subHash(row, g, hg, sub); got != hs {
+			t.Fatalf("subHash(%#x ⊆ %#x) = %#x, sigHash %#x", sub, g, got, hs)
+		}
+		for m := g; m != 0; m &= m - 1 {
+			if a := bits.TrailingZeros64(m); sigHash(row, g&^(1<<a)) == hg {
+				t.Fatalf("dropping attribute %d (value %d) leaves the hash of %#x unchanged", a, row[a], g)
+			}
+		}
+	}
+	if cellHash(0, 0) == 0 {
+		t.Error("cellHash(0, 0) == 0: a signature would hash equal with and without that cell")
+	}
+}

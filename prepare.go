@@ -81,7 +81,7 @@ func (p *Prepared) ValueOverlap(other *Prepared, maxSample int) float64 {
 
 // WithRelationName returns a view of a single-relation prepared instance
 // whose relation carries the given name. The coded state is shared — value
-// codes and attribute orders do not depend on relation names — so the view
+// codes do not depend on relation names — so the view
 // costs a few small allocations regardless of instance size. Lake ranking
 // uses this to align a candidate's table name with the example's without
 // re-preparing the candidate. The receiver is returned unchanged when it is
