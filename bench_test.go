@@ -471,6 +471,33 @@ func BenchmarkPreparedCompare(b *testing.B) {
 	})
 }
 
+// BenchmarkPrepare measures Prepare alone — snapshot, null inventory,
+// value interning and integer coding — on a wide-domain relation (Doct,
+// 10k rows) and a wide one (Git, 19 attributes, 2.8k rows).
+func BenchmarkPrepare(b *testing.B) {
+	for _, v := range []struct {
+		name datasets.Name
+		rows int
+	}{
+		{datasets.Doct, 10000},
+		{datasets.Git, 2800},
+	} {
+		b.Run(fmt.Sprintf("%s/rows-%d", v.name, v.rows), func(b *testing.B) {
+			inst, err := datasets.Generate(v.name, v.rows, benchSeed)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := instcmp.Prepare(inst); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSignatureSmall measures prepared signature compares at the
 // sizes below the pipeline's row gate, where every phase runs inline: the
 // shapes of lake-ranking candidates, service compares, and the exact

@@ -320,9 +320,11 @@ type Result struct {
 }
 
 // Compare computes the similarity of two instances and the instance match
-// explaining it. The inputs are not modified: comparison runs on normalized
-// copies (disjoint tuple identifiers and null namespaces, and — with
-// AlignSchemas — padded schemas).
+// explaining it. The inputs are read, not copied, and never modified:
+// whatever the pairing needs fixed (disjoint null namespaces, padded or
+// rewritten schemas) is built as a new instance. The caller must not
+// mutate either input while the call runs; concurrent compares may share
+// them.
 func Compare(left, right *Instance, opt *Options) (*Result, error) {
 	return CompareContext(context.Background(), left, right, opt)
 }
@@ -334,7 +336,8 @@ func Compare(left, right *Instance, opt *Options) (*Result, error) {
 // and scan loops — with the best match found so far, Result.Stopped set to
 // StoppedCanceled, and the explanation filled in for that partial match.
 // Callers that need hard failure semantics can check Result.Stopped (or
-// ctx.Err()) themselves.
+// ctx.Err()) themselves. Like Compare, it reads its inputs in place: they
+// must not be mutated until it returns.
 func CompareContext(ctx context.Context, left, right *Instance, opt *Options) (*Result, error) {
 	if left == nil || right == nil {
 		return nil, fmt.Errorf("instcmp: Compare requires two non-nil instances")
@@ -346,19 +349,16 @@ func CompareContext(ctx context.Context, left, right *Instance, opt *Options) (*
 		return nil, err
 	}
 	start := time.Now()
-	var l, r *Instance
-	switch {
-	case model.SameSchema(left, right) || opt.DiscoverMapping:
-		// Snapshot both sides. Mapping discovery rewrites the right side
-		// inside comparePrepared (the prepared path needs the same
-		// treatment).
-		l, r = left.Clone(), right.Clone()
-	case opt.AlignSchemas:
-		// alignSchemas rebuilds both sides from scratch, so the rebuilt
-		// instances are owned outright — no defensive clone needed.
+	// The prepared sides read the inputs in place and die with the call.
+	// Everything that changes an instance (mapping discovery, alignment,
+	// renaming nulls apart) builds a new one. Mapping discovery runs inside
+	// comparePrepared, which the prepared path shares.
+	l, r := left, right
+	if !model.SameSchema(left, right) && !opt.DiscoverMapping {
+		if !opt.AlignSchemas {
+			return nil, match.ErrSchemaMismatch
+		}
 		l, r = alignSchemas(left, right)
-	default:
-		return nil, match.ErrSchemaMismatch
 	}
 	lp, err := prepareOwned(l)
 	if err != nil {

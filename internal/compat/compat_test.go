@@ -116,7 +116,7 @@ func buildRel(rows ...[]model.Value) *model.Relation {
 // compatible right positions. Nil position lists mean all tuples of that
 // side. Both sides are coded with one interner before the index is built.
 func codedCandidates(lrel, rrel *model.Relation, leftIdxs, rightIdxs []int) map[int][]int {
-	in := model.NewInterner()
+	in := model.NewInterner(0)
 	lc, rc := in.Code(lrel), in.Code(rrel)
 	pr := NewCodedIndex(rc, rightIdxs, in).NewProber()
 	if leftIdxs == nil {

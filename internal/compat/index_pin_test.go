@@ -121,7 +121,7 @@ func TestCodedIndexMatchesMapIndex(t *testing.T) {
 		arity := 1 + rng.Intn(6)
 		nullPct := []int{0, 20, 50, 80}[trial%4]
 		consts := 2 + rng.Intn(6)
-		in := model.NewInterner()
+		in := model.NewInterner(0)
 		left := in.Code(pinRelation(rng, "L", 1+rng.Intn(20), arity, consts+2, nullPct))
 		right := in.Code(pinRelation(rng, "R", 1+rng.Intn(20), arity, consts, nullPct))
 		var idxs []int
@@ -153,7 +153,7 @@ func TestCodedIndexMatchesMapIndex(t *testing.T) {
 // pairwise check rejects them before it reads the late ID (the build-time
 // nullness table does not cover it).
 func TestCodedIndexLateProbeID(t *testing.T) {
-	in := model.NewInterner()
+	in := model.NewInterner(0)
 	right := in.Code(buildRel(
 		[]model.Value{c("y"), c("b"), c("k")},
 		[]model.Value{c("y"), n("V1"), c("k")},

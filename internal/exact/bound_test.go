@@ -68,7 +68,7 @@ func TestOptScoreBounds(t *testing.T) {
 		{[]model.Value{n("N"), n("M")}, []model.Value{n("V"), c("b")}, 1.5},
 		{[]model.Value{n("N")}, []model.Value{n("V")}, 1},
 	}
-	in := model.NewInterner()
+	in := model.NewInterner(0)
 	code := func(vals []model.Value) (row []model.ValueID, mask uint64) {
 		for a, v := range vals {
 			row = append(row, in.Intern(v))

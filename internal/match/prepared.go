@@ -53,15 +53,19 @@ type PreparedSide struct {
 // while the prepared side is live (instcmp.Prepare snapshots first).
 func PrepareSide(inst *model.Instance) (*PreparedSide, error) {
 	rels := inst.Relations()
+	cells := 0
 	for _, rel := range rels {
 		if rel.Arity() > 64 {
 			return nil, fmt.Errorf("%w: %s has %d", ErrTooManyAttributes, rel.Name, rel.Arity())
 		}
+		cells += len(rel.Tuples) * rel.Arity()
 	}
 	p := &PreparedSide{
 		Inst: inst,
 		Rels: rels,
-		In:   model.NewInterner(),
+		// The cell count bounds the distinct values, so coding never
+		// grows the table.
+		In:   model.NewInterner(cells),
 		Vars: inst.SortedVars(),
 		Code: make([]*model.CodedRelation, len(rels)),
 	}
@@ -100,18 +104,19 @@ func NewEnvPrepared(l, r *PreparedSide, mode Mode) (*Env, error) {
 	if !model.SameSchema(l.Inst, r.Inst) {
 		return nil, ErrSchemaMismatch
 	}
-	for _, v := range r.Vars {
-		if _, shared := l.In.Lookup(v); shared {
+	for i, v := range r.Vars {
+		if _, shared := l.In.LookupFrom(r.In, model.ValueID(i)); shared {
 			return nil, fmt.Errorf("%w: %v", ErrSharedNulls, v)
 		}
 	}
 	in := l.In.Extend(r.In.Len())
 	// Extend the joint space with the right side's values in self-ID order
 	// (sorted nulls first, then constants in scan order), recording the
-	// translation.
+	// translation. The right side's stored hashes are reused: no value is
+	// hashed again.
 	table := make([]model.ValueID, r.In.Len())
 	for id := range table {
-		table[id] = in.Intern(r.In.ValueOf(model.ValueID(id)))
+		table[id] = in.InternFrom(r.In, model.ValueID(id))
 	}
 	// The joint space is complete: size the unifier once.
 	u := unify.NewInterned(in)
@@ -155,7 +160,7 @@ func (p *PreparedSide) ValueOverlap(q *PreparedSide, maxSample int) float64 {
 	}
 	inter := 0
 	for id := len(q.Vars); id < len(q.Vars)+nq; id++ {
-		pid, ok := p.In.Lookup(q.In.ValueOf(model.ValueID(id)))
+		pid, ok := p.In.LookupFrom(q.In, model.ValueID(id))
 		if ok && int(pid) >= len(p.Vars) && int(pid) < len(p.Vars)+np {
 			inter++
 		}

@@ -8,6 +8,8 @@ package model
 // maps. The textual Values are recovered through the Interner only at the
 // explanation boundary (see instcmp's fillExplanation).
 
+import "hash/maphash"
+
 // ValueID is a dense integer code for a Value within one comparison. IDs are
 // assigned consecutively from 0 by an Interner; the same Value always
 // receives the same ID from a given Interner, and distinct Values receive
@@ -22,72 +24,173 @@ const NoValueID ValueID = -1
 // is shared by both sides of one comparison: left and right cells that hold
 // the same constant receive the same ID, which is what makes ID equality
 // meaningful. The zero value is not usable; call NewInterner.
+//
+// The index is one flat open-addressing table: slots holds own index + 1
+// (0 marks an empty slot) at a power-of-two size, probed linearly from the
+// value's hash and kept at most half full. Each value's 64-bit hash is
+// computed once and stored beside it, so growing the table, and moving a
+// value into another interner (InternFrom, LookupFrom), never hashes a
+// string again. IDs depend only on insertion order, never on the hash.
 type Interner struct {
-	// An extension reads its root's map and values read-only: IDs below
-	// len(baseVals) are the root's, the rest are in ids/vals. Both are nil
-	// at the root.
-	base     map[Value]ValueID
-	baseVals []Value
-	ids      map[Value]ValueID
-	vals     []Value
+	// base is the root an extension reads read-only: IDs below base.Len()
+	// are the root's, the rest are this interner's own. nil at the root.
+	base *Interner
+	// vals and hashes hold the own values and their hashes, indexed by
+	// ID - off.
+	vals   []Value
+	hashes []uint64
+	slots  []int32
+	off    int
 	// null covers every ID, the root's included.
 	null []bool
 }
 
-// NewInterner returns an empty interner.
-func NewInterner() *Interner {
-	return &Interner{ids: make(map[Value]ValueID)}
+// internSeed keys every interner's hash, so an interner can reuse the hash
+// another one stored (InternFrom). It is random per process, and no ID
+// depends on it.
+var internSeed = maphash.MakeSeed()
+
+// internHash is the hash an interner stores for v: the string's hash, with
+// the null flag folded in so Const("x") and Null("x") land apart.
+func internHash(v Value) uint64 {
+	h := maphash.String(internSeed, v.s)
+	if v.null {
+		h = ^h
+	}
+	return h
+}
+
+// NewInterner returns an empty interner sized for hint distinct values
+// without growing; more may be interned.
+func NewInterner(hint int) *Interner {
+	return &Interner{
+		vals: make([]Value, 0, hint),
+		null: make([]bool, 0, hint),
+	}
 }
 
 // Intern returns v's ID, assigning the next dense code on first sight.
-func (in *Interner) Intern(v Value) ValueID {
-	if id, ok := in.Lookup(v); ok {
-		return id
-	}
-	if in.ids == nil {
-		in.ids = make(map[Value]ValueID, cap(in.vals)-len(in.vals))
-	}
-	id := ValueID(len(in.null))
-	in.ids[v] = id
-	in.vals = append(in.vals, v)
-	in.null = append(in.null, v.IsNull())
-	return id
+func (in *Interner) Intern(v Value) ValueID { return in.intern(v, internHash(v)) }
+
+// InternFrom interns the value src codes as id, reusing the hash src
+// stored for it.
+func (in *Interner) InternFrom(src *Interner, id ValueID) ValueID {
+	v, h := src.entry(id)
+	return in.intern(v, h)
 }
 
 // Lookup returns v's ID without interning it.
 func (in *Interner) Lookup(v Value) (ValueID, bool) {
-	if id, ok := in.base[v]; ok {
-		return id, true
-	}
-	id, ok := in.ids[v]
+	id, _, ok := in.find(v, internHash(v))
 	return id, ok
+}
+
+// LookupFrom looks up the value src codes as id, reusing the hash src
+// stored for it.
+func (in *Interner) LookupFrom(src *Interner, id ValueID) (ValueID, bool) {
+	v, h := src.entry(id)
+	id, _, ok := in.find(v, h)
+	return id, ok
+}
+
+// entry returns the value coded as id and its stored hash.
+func (in *Interner) entry(id ValueID) (Value, uint64) {
+	if int(id) < in.off {
+		return in.base.vals[id], in.base.hashes[id]
+	}
+	i := int(id) - in.off
+	return in.vals[i], in.hashes[i]
+}
+
+func (in *Interner) intern(v Value, h uint64) ValueID {
+	id, slot, ok := in.find(v, h)
+	if ok {
+		return id
+	}
+	if 2*(len(in.vals)+1) > len(in.slots) {
+		in.grow()
+		_, slot, _ = in.find(v, h)
+	}
+	in.slots[slot] = int32(len(in.vals) + 1)
+	in.vals = append(in.vals, v)
+	in.hashes = append(in.hashes, h)
+	in.null = append(in.null, v.null)
+	return ValueID(len(in.null) - 1)
+}
+
+// find returns v's ID when the base or the own table holds it. Otherwise
+// it returns the empty own slot that ends v's probe run (meaningless while
+// the own table is not made yet).
+func (in *Interner) find(v Value, h uint64) (ValueID, int, bool) {
+	if in.base != nil {
+		if id, _, ok := in.base.find(v, h); ok {
+			return id, 0, true
+		}
+	}
+	if len(in.slots) == 0 {
+		return NoValueID, 0, false
+	}
+	mask := len(in.slots) - 1
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		s := in.slots[i]
+		if s == 0 {
+			return NoValueID, i, false
+		}
+		if in.hashes[s-1] == h && in.vals[s-1] == v {
+			return ValueID(in.off + int(s) - 1), i, true
+		}
+	}
+}
+
+// grow doubles the table and reinserts every own value from its stored
+// hash. The first insertion makes the table, sized for the capacity vals
+// was made with, so an interner that never interns (an extension whose
+// values are all its base's) allocates no table.
+func (in *Interner) grow() {
+	size := 2 * len(in.slots)
+	if size == 0 {
+		size = 8
+		for size < 2*cap(in.vals) {
+			size *= 2
+		}
+		in.hashes = make([]uint64, 0, cap(in.vals))
+	}
+	in.slots = make([]int32, size)
+	mask := size - 1
+	for j, h := range in.hashes {
+		i := int(h) & mask
+		for in.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		in.slots[i] = int32(j + 1)
+	}
 }
 
 // Extend returns an interner that continues the receiver's coding, giving
 // every value exactly the ID that interning it into the receiver would. It
-// shares the receiver's value map and value table read-only and copies only
-// the nullness table, sized for hint more values; new values go to a map
-// and a table of its own. The receiver must be a root interner (not an
-// extension; Extend panics otherwise) that never interns again, as
-// prepared interners are; any number of goroutines may extend it.
+// shares the receiver's table, values and hashes read-only and copies only
+// the nullness table, sized for hint more values; new values go to a table
+// of its own, sized from hint on first use. The receiver must be a root
+// interner (not an extension; Extend panics otherwise) that never interns
+// again, as prepared interners are; any number of goroutines may extend it.
 func (in *Interner) Extend(hint int) *Interner {
 	if in.base != nil {
 		panic("model: Extend called on an extended interner")
 	}
 	return &Interner{
-		base:     in.ids,
-		baseVals: in.vals,
-		vals:     make([]Value, 0, hint),
-		null:     append(make([]bool, 0, len(in.null)+hint), in.null...),
+		base: in,
+		off:  len(in.vals),
+		vals: make([]Value, 0, hint),
+		null: append(make([]bool, 0, len(in.null)+hint), in.null...),
 	}
 }
 
 // ValueOf decodes an ID back to its Value.
 func (in *Interner) ValueOf(id ValueID) Value {
-	if int(id) < len(in.baseVals) {
-		return in.baseVals[id]
+	if int(id) < in.off {
+		return in.base.vals[id]
 	}
-	return in.vals[int(id)-len(in.baseVals)]
+	return in.vals[int(id)-in.off]
 }
 
 // IsNull reports whether the coded value is a labeled null.

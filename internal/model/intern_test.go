@@ -2,6 +2,8 @@ package model
 
 import (
 	"fmt"
+	"math/rand"
+	"strconv"
 	"sync"
 	"testing"
 )
@@ -9,7 +11,7 @@ import (
 // frozenBase returns a root interner holding sorted nulls then constants,
 // the shape a prepared side's self-interner has.
 func frozenBase() *Interner {
-	in := NewInterner()
+	in := NewInterner(0)
 	for i := 0; i < 4; i++ {
 		in.Intern(Nullf("n%d", i))
 	}
@@ -156,4 +158,166 @@ func TestInternerExtendRejectsExtension(t *testing.T) {
 		}
 	}()
 	ext.Extend(0)
+}
+
+// mapInterner is the map-backed interner the flat table replaced, kept as
+// the reference its IDs are pinned against.
+type mapInterner struct {
+	ids  map[Value]ValueID
+	vals []Value
+}
+
+func newMapInterner() *mapInterner { return &mapInterner{ids: map[Value]ValueID{}} }
+
+func (m *mapInterner) intern(v Value) ValueID {
+	if id, ok := m.ids[v]; ok {
+		return id
+	}
+	id := ValueID(len(m.vals))
+	m.ids[v] = id
+	m.vals = append(m.vals, v)
+	return id
+}
+
+func (m *mapInterner) internAll(seq []Value) *mapInterner {
+	for _, v := range seq {
+		m.intern(v)
+	}
+	return m
+}
+
+func (m *mapInterner) clone() *mapInterner { return newMapInterner().internAll(m.vals) }
+
+// randomValues returns n values over a domain of about n/3 texts, so values
+// repeat; a quarter are nulls, and the sequence holds a constant and a null
+// of the same text, and the empty text as both.
+func randomValues(rng *rand.Rand, n int) []Value {
+	seq := []Value{Const("x"), Null("x"), Const(""), Null("")}
+	for len(seq) < n {
+		s := strconv.Itoa(rng.Intn(n / 3))
+		if rng.Intn(4) == 0 {
+			seq = append(seq, Null(s))
+		} else {
+			seq = append(seq, Const(s))
+		}
+	}
+	rng.Shuffle(len(seq), func(i, j int) { seq[i], seq[j] = seq[j], seq[i] })
+	return seq
+}
+
+// missValues are absent from every randomValues sequence: other texts, and
+// texts the sequences hold only as constants, as nulls.
+func missValues() []Value {
+	var miss []Value
+	for i := 0; i < 200; i++ {
+		miss = append(miss, Constf("miss-%d", i), Nullf("miss-%d", i), Nullf("x%d", i))
+	}
+	return miss
+}
+
+// checkAgainstMap checks every ID of in, its decoding and lookups, hits and
+// misses, against the reference.
+func checkAgainstMap(t *testing.T, label string, in *Interner, ref *mapInterner) {
+	t.Helper()
+	if in.Len() != len(ref.vals) {
+		t.Fatalf("%s: Len %d, reference %d", label, in.Len(), len(ref.vals))
+	}
+	for id, v := range ref.vals {
+		if got := in.ValueOf(ValueID(id)); got != v {
+			t.Fatalf("%s: ValueOf(%d) = %#v, reference %#v", label, id, got, v)
+		}
+		if in.IsNull(ValueID(id)) != v.IsNull() {
+			t.Fatalf("%s: IsNull(%d) = %v for %#v", label, id, in.IsNull(ValueID(id)), v)
+		}
+		if got, ok := in.Lookup(v); !ok || got != ValueID(id) {
+			t.Fatalf("%s: Lookup(%#v) = (%d, %v), reference %d", label, v, got, ok, id)
+		}
+	}
+	for _, v := range missValues() {
+		_, want := ref.ids[v]
+		if _, ok := in.Lookup(v); ok != want {
+			t.Fatalf("%s: Lookup(%#v) hit %v, reference %v", label, v, ok, want)
+		}
+	}
+}
+
+// TestInternerMatchesMapReference pins the flat table against the map
+// interner: over random sequences that grow the table through several
+// doublings, at no hint, an exact one and an oversized one, every ID,
+// decoding and lookup agrees.
+func TestInternerMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 3; round++ {
+		seq := randomValues(rng, 12000+round*5000)
+		distinct := len(newMapInterner().internAll(seq).vals)
+		for _, hint := range []int{0, distinct, 4 * len(seq)} {
+			label := fmt.Sprintf("round %d hint %d", round, hint)
+			in, ref := NewInterner(hint), newMapInterner()
+			for i, v := range seq {
+				if got, want := in.Intern(v), ref.intern(v); got != want {
+					t.Fatalf("%s: value %d Intern(%#v) = %d, reference %d", label, i, v, got, want)
+				}
+			}
+			checkAgainstMap(t, label, in, ref)
+		}
+	}
+}
+
+// TestInternerFromMatchesIntern: moving values between interners by stored
+// hash (InternFrom, LookupFrom) gives exactly what re-hashing them does, on
+// a root and on its extensions, with sources that are roots or extensions.
+func TestInternerFromMatchesIntern(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, hint := range []int{0, 500, 50000} {
+		label := fmt.Sprintf("hint %d", hint)
+		baseSeq, srcSeq := randomValues(rng, 10000), randomValues(rng, 10000)
+		base := NewInterner(hint)
+		for _, v := range baseSeq {
+			base.Intern(v)
+		}
+		baseRef := newMapInterner().internAll(baseSeq)
+		src := NewInterner(0)
+		for _, v := range srcSeq {
+			src.Intern(v)
+		}
+		byValue, byHash := base.Extend(hint), base.Extend(hint)
+		for id := ValueID(0); int(id) < src.Len(); id++ {
+			got, gotOK := byHash.LookupFrom(src, id)
+			want, wantOK := byValue.Lookup(src.ValueOf(id))
+			if got != want || gotOK != wantOK {
+				t.Fatalf("%s: fresh extension LookupFrom(src, %d) = (%d, %v), Lookup gives (%d, %v)", label, id, got, gotOK, want, wantOK)
+			}
+			got, gotOK = base.LookupFrom(src, id)
+			want, wantOK = base.Lookup(src.ValueOf(id))
+			if got != want || gotOK != wantOK {
+				t.Fatalf("%s: root LookupFrom(src, %d) = (%d, %v), Lookup gives (%d, %v)", label, id, got, gotOK, want, wantOK)
+			}
+		}
+		ref := baseRef.clone()
+		for id := ValueID(0); int(id) < src.Len(); id++ {
+			want := ref.intern(src.ValueOf(id))
+			if got := byValue.Intern(src.ValueOf(id)); got != want {
+				t.Fatalf("%s: extension Intern(%#v) = %d, reference %d", label, src.ValueOf(id), got, want)
+			}
+			if got := byHash.InternFrom(src, id); got != want {
+				t.Fatalf("%s: extension InternFrom(src, %d) = %d, reference %d", label, id, got, want)
+			}
+		}
+		checkAgainstMap(t, label+" by value", byValue, ref)
+		checkAgainstMap(t, label+" by hash", byHash, ref)
+		checkAgainstMap(t, label+" root", base, baseRef)
+		// An extension as the source: its IDs span the root's values and
+		// its own, all distinct, so a fresh interner assigns them the same
+		// IDs in the same order.
+		fresh := NewInterner(0)
+		for id := ValueID(0); int(id) < byHash.Len(); id++ {
+			if got, ok := byValue.LookupFrom(byHash, id); !ok || got != id {
+				t.Fatalf("%s: LookupFrom(extension, %d) = (%d, %v)", label, id, got, ok)
+			}
+			if got := fresh.InternFrom(byHash, id); got != id {
+				t.Fatalf("%s: InternFrom(extension, %d) into a fresh interner = %d", label, id, got)
+			}
+		}
+		checkAgainstMap(t, label+" fresh", fresh, ref)
+	}
 }

@@ -134,7 +134,7 @@ func TestSigTableCanceledBuild(t *testing.T) {
 			vals[i] = []model.Value{c(model.Constf("a%d", i%7).Raw()), c(model.Constf("b%d", i%5).Raw()), n(model.Nullf("N%d", i).Raw())}
 		}
 		inst := build(vals)
-		return model.NewInterner().Code(inst.Relations()[0])
+		return model.NewInterner(0).Code(inst.Relations()[0])
 	}
 	big, small := mk(3000), mk(40)
 	for _, partial := range []bool{false, true} {

@@ -90,7 +90,7 @@ type Unifier struct {
 }
 
 // New returns an empty unifier with its own private interner.
-func New() *Unifier { return NewInterned(model.NewInterner()) }
+func New() *Unifier { return NewInterned(model.NewInterner(0)) }
 
 // NewInterned returns an empty unifier over a shared interner, so that IDs
 // handed to MergeID et al. agree with IDs used elsewhere in the comparison.

@@ -48,8 +48,9 @@ func Prepare(in *Instance) (*Prepared, error) {
 	return prepareOwned(in.Clone())
 }
 
-// prepareOwned builds prepared state over an instance the caller already
-// owns (a clone, an alignSchemas rebuild, a rename) — no defensive copy.
+// prepareOwned builds prepared state over an instance nobody mutates while
+// that state is live (a clone, an alignSchemas rebuild, a rename, or a
+// one-shot compare's input for the length of the call) — no defensive copy.
 func prepareOwned(inst *Instance) (*Prepared, error) {
 	side, err := match.PrepareSide(inst)
 	if err != nil {
@@ -238,8 +239,8 @@ func comparePrepared(ctx context.Context, lp, rp *Prepared, opt *Options, start 
 // preparedVarsOverlap reports whether the two prepared instances share a
 // null name; the left side's interner answers membership in O(right nulls).
 func preparedVarsOverlap(l, r *Prepared) bool {
-	for _, v := range r.side.Vars {
-		if _, shared := l.side.In.Lookup(v); shared {
+	for i := range r.side.Vars {
+		if _, shared := l.side.In.LookupFrom(r.side.In, model.ValueID(i)); shared {
 			return true
 		}
 	}
