@@ -104,19 +104,23 @@ func BenchmarkTable2Exact(b *testing.B) {
 	}
 }
 
-// BenchmarkExactParallel measures the exact engine's warm-start and worker
-// variants on a workload the cold engine of PR 1 cannot finish: Doct 100
-// rows with Table-3-style noise (5% cells nulled, 10% random and 10%
-// redundant tuples) in the general n-to-m mode. The general search's
-// first descent greedily includes every consistent pair — a poor leaf —
-// so a cold run burns its whole budget proving nothing, while the
-// signature warm start hands the search an incumbent that meets the
-// root's optimistic bound and certifies the optimum at node 1. Scores are
-// identical across all variants; only wall-clock (and Exhaustive, for the
-// budget-capped cold run) differs. The nowarm variant is the PR-1 engine
-// (same canonical DFS, empty incumbent) under a 10-second budget;
-// Exhaustive is not asserted there because it never finishes.
-func BenchmarkExactParallel(b *testing.B) {
+// BenchmarkExactSearch measures the exact engine's branch-and-bound search.
+//
+// The warm and nowarm variants run a workload the cold engine cannot
+// finish: Doct 100 rows with Table-3-style noise (5% cells nulled, 10%
+// random and 10% redundant tuples) in the general n-to-m mode. The general
+// search's first descent greedily includes every consistent pair — a poor
+// leaf — so a cold run burns its whole budget proving nothing, while the
+// signature warm start hands the search an incumbent that meets the root's
+// optimistic bound and certifies the optimum at node 1. The nowarm variant
+// is the same canonical DFS from an empty incumbent under a 10-second
+// budget; Exhaustive is not asserted there because it never finishes.
+//
+// The cold/rows=N variants are searches that do certify without the warm
+// start, after 10⁴–10⁵ nodes: Doct n-to-m with the paper's Table-3 noise
+// (dataset and noise seed 7) at 30, 40 and 60 rows. They time the walk
+// itself and report its node count.
+func BenchmarkExactSearch(b *testing.B) {
 	base, err := datasets.Generate(datasets.Doct, 100, benchSeed)
 	if err != nil {
 		b.Fatal(err)
@@ -129,9 +133,8 @@ func BenchmarkExactParallel(b *testing.B) {
 		opt        exact.Options
 		exhaustive bool
 	}{
-		{"warm/workers=1", exact.Options{Lambda: 0.5, Workers: 1, Timeout: 2 * time.Minute}, true},
-		{"warm/workers=4", exact.Options{Lambda: 0.5, Workers: 4, Timeout: 2 * time.Minute}, true},
-		{"nowarm/workers=1", exact.Options{Lambda: 0.5, Workers: 1, NoWarmStart: true, Timeout: 10 * time.Second}, false},
+		{"warm", exact.Options{Lambda: 0.5, Timeout: 2 * time.Minute}, true},
+		{"nowarm", exact.Options{Lambda: 0.5, NoWarmStart: true, Timeout: 10 * time.Second}, false},
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -144,6 +147,31 @@ func BenchmarkExactParallel(b *testing.B) {
 					b.Fatal("warm-started search did not finish at bench size")
 				}
 			}
+		})
+	}
+	for _, rows := range []int{30, 40, 60} {
+		base, err := datasets.Generate(datasets.Doct, rows, 7)
+		if err != nil {
+			b.Fatal(err)
+		}
+		noise := experiments.Table3Noise
+		noise.Seed = 7
+		sc := generator.Make(base, noise)
+		b.Run(fmt.Sprintf("cold/rows=%d", rows), func(b *testing.B) {
+			b.ReportAllocs()
+			var nodes int64
+			for i := 0; i < b.N; i++ {
+				res, err := exact.Run(context.Background(), sc.Source, sc.Target, match.ManyToMany,
+					exact.Options{Lambda: 0.5, NoWarmStart: true, Timeout: 20 * time.Second})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !res.Exhaustive {
+					b.Fatal("cold search did not certify at bench size")
+				}
+				nodes = res.Nodes
+			}
+			b.ReportMetric(float64(nodes), "nodes")
 		})
 	}
 }

@@ -38,7 +38,6 @@ func main() {
 		verRows   = flag.Int("versioning-rows", 0, "row count for table 7 (0 = paper sizes: Iris 120, NBA 9360)")
 		exactRows = flag.Int("exact-max-rows", 1000, "run the exact algorithm for configurations up to this many rows (0 = never; larger rows report the score by construction, the paper's *)")
 		exactTO   = flag.Duration("exact-timeout", 60*time.Second, "budget per exact run")
-		exactW    = flag.Int("exact-workers", 0, "exact-search workers (0 = GOMAXPROCS)")
 		sigW      = flag.Int("sig-workers", 0, "signature-pipeline workers per comparison (0 = GOMAXPROCS, 1 = sequential; scores are identical either way)")
 		noWarm    = flag.Bool("exact-no-warm-start", false, "disable the exact search's signature warm start (ablation)")
 		stats     = flag.Bool("stats", false, "print cumulative engine counters (expvar) after each experiment")
@@ -54,7 +53,6 @@ func main() {
 		Lambda:           *lambda,
 		ExactMaxRows:     *exactRows,
 		ExactTimeout:     *exactTO,
-		ExactWorkers:     *exactW,
 		ExactNoWarmStart: *noWarm,
 		SigWorkers:       *sigW,
 	}

@@ -129,17 +129,19 @@ type Options struct {
 	ExactMaxNodes int64
 	// ExactTimeout bounds exact-search wall-clock time (0 = unbounded).
 	ExactTimeout time.Duration
-	// ExactWorkers is the number of parallel exact-search workers:
-	// 0 = GOMAXPROCS, 1 = single-threaded. The score is identical for
-	// every worker count; only wall-clock time changes.
+	// ExactWorkers is ignored: the exact search is single-threaded.
+	// Negative values are still rejected.
+	//
+	// Deprecated: the exact engine no longer has a worker pool; leave
+	// this unset.
 	ExactWorkers int
 	// SigWorkers is the number of pipeline workers inside a single
-	// signature run: 0 = GOMAXPROCS, 1 = every phase inline on the
-	// calling goroutine (as is any phase below the pipeline's size gate,
-	// whatever the count). Workers only do read-only work and a single
-	// committer applies pairs in canonical scan order, so scores and
-	// stats are bit-identical for every worker count; only wall-clock
-	// time changes.
+	// signature run, the exact search's warm start included: 0 =
+	// GOMAXPROCS, 1 = every phase inline on the calling goroutine (as is
+	// any phase below the pipeline's size gate, whatever the count).
+	// Workers only do read-only work and a single committer applies
+	// pairs in canonical scan order, so scores and stats are
+	// bit-identical for every worker count; only wall-clock time changes.
 	SigWorkers int
 	// Partial enables the Sec. 6.3 partial-mapping variant of the
 	// signature algorithm.
@@ -215,12 +217,11 @@ const (
 type ComparisonStats struct {
 	// Exact-search counters (zero for signature runs).
 
-	// Nodes is the number of search-tree nodes visited across all
-	// workers.
+	// Nodes is the number of search-tree nodes visited.
 	Nodes int64
 	// Prunes counts subtrees cut by the optimistic bounds.
 	Prunes int64
-	// Improvements counts incumbent improvements recorded by searchers.
+	// Improvements counts incumbent improvements found by the search.
 	Improvements int64
 	// WarmScore is the incumbent the exact search started from (-1 when
 	// not warm-started or for signature runs).
@@ -371,9 +372,8 @@ func CompareContext(ctx context.Context, left, right *Instance, opt *Options) (*
 	return comparePrepared(ctx, lp, rp, opt, start)
 }
 
-// fillEnv copies match-construction counters into the unified stats. The
-// exact engine passes its aggregate over all worker environments; the
-// signature engine its single environment's counters.
+// fillEnv copies an environment's match-construction counters into the
+// unified stats.
 func (s *ComparisonStats) fillEnv(st match.EnvStats) {
 	s.PairAttempts = st.PairAttempts
 	s.PairRejects = st.PairRejects

@@ -31,7 +31,7 @@ func TestContextPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	res, err := Run(ctx, l, r, match.ManyToMany, Options{Lambda: lambda, Workers: 4})
+	res, err := Run(ctx, l, r, match.ManyToMany, Options{Lambda: lambda})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,45 +47,41 @@ func TestContextPreCanceled(t *testing.T) {
 }
 
 // TestContextCancelMidSearch: cancellation mid-search returns promptly
-// (within the node-loop poll interval) for both the solo and the parallel
-// engine, keeping the best incumbent found so far — at minimum the warm
-// start's match.
+// (within the node-loop poll interval), keeping the best incumbent found so
+// far — at minimum the warm start's match.
 func TestContextCancelMidSearch(t *testing.T) {
 	l, r := hardInstances(12)
-	for _, workers := range []int{1, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		go func() {
-			time.Sleep(30 * time.Millisecond)
-			cancel()
-		}()
-		start := time.Now()
-		res, err := Run(ctx, l, r, match.ManyToMany, Options{Lambda: lambda, Workers: workers})
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(30 * time.Millisecond)
 		cancel()
-		if err != nil {
-			t.Fatal(err)
-		}
-		elapsed := time.Since(start)
-		if res.Exhaustive {
-			t.Logf("workers=%d: search finished before the cancel (fast machine); no assertion", workers)
-			continue
-		}
-		if res.Stopped != StoppedCanceled {
-			t.Errorf("workers=%d: Stopped = %q, want %q", workers, res.Stopped, StoppedCanceled)
-		}
-		// Polls happen at least every soloPollInterval (solo) or
-		// nodeFlushBatch (parallel) nodes, each node being microseconds:
-		// seconds of overshoot would mean cancellation is broken.
-		if elapsed > 5*time.Second {
-			t.Errorf("workers=%d: canceled search ran %v", workers, elapsed)
-		}
-		if res.WarmScore >= 0 && res.Score < res.WarmScore {
-			t.Errorf("workers=%d: canceled score %v below warm incumbent %v", workers, res.Score, res.WarmScore)
-		}
+	}()
+	start := time.Now()
+	res, err := Run(ctx, l, r, match.ManyToMany, Options{Lambda: lambda})
+	cancel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(start)
+	if res.Exhaustive {
+		t.Log("search finished before the cancel (fast machine); no assertion")
+		return
+	}
+	if res.Stopped != StoppedCanceled {
+		t.Errorf("Stopped = %q, want %q", res.Stopped, StoppedCanceled)
+	}
+	// Polls happen every pollInterval nodes, each node being microseconds:
+	// seconds of overshoot would mean cancellation is broken.
+	if elapsed > 5*time.Second {
+		t.Errorf("canceled search ran %v", elapsed)
+	}
+	if res.WarmScore >= 0 && res.Score < res.WarmScore {
+		t.Errorf("canceled score %v below warm incumbent %v", res.Score, res.WarmScore)
 	}
 }
 
-// TestTimeoutOvershootBounded pins the Options.Timeout contract: the solo
-// engine polls the deadline every soloPollInterval nodes, so the search stops
+// TestTimeoutOvershootBounded pins the Options.Timeout contract: the search
+// polls the deadline every pollInterval nodes, so the search stops
 // within a bounded overshoot of the deadline rather than running the tree to
 // the end.
 func TestTimeoutOvershootBounded(t *testing.T) {
@@ -93,7 +89,7 @@ func TestTimeoutOvershootBounded(t *testing.T) {
 	const budget = 50 * time.Millisecond
 	start := time.Now()
 	res, err := Run(context.Background(), l, r, match.ManyToMany,
-		Options{Lambda: lambda, Timeout: budget, Workers: 1})
+		Options{Lambda: lambda, Timeout: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +100,7 @@ func TestTimeoutOvershootBounded(t *testing.T) {
 	if res.Stopped != StoppedTimeout {
 		t.Errorf("Stopped = %q, want %q", res.Stopped, StoppedTimeout)
 	}
-	// soloPollInterval nodes between deadline polls, microseconds per node:
+	// pollInterval nodes between deadline polls, microseconds per node:
 	// the overshoot must stay far below seconds even on a loaded CI box.
 	if elapsed > budget+2*time.Second {
 		t.Errorf("timeout overshot: ran %v against a %v budget", elapsed, budget)
@@ -115,13 +111,14 @@ func TestTimeoutOvershootBounded(t *testing.T) {
 }
 
 // TestStatsPopulated: an exhaustive run reports its node, prune, improvement,
-// and pair-attempt counters, and collecting them does not change the score.
+// and pair-attempt counters, and a second run reproduces every one of them.
 func TestStatsPopulated(t *testing.T) {
 	l := build([][]model.Value{{c("a"), n("N1")}, {c("x"), n("N2")}})
 	r := build([][]model.Value{{c("a"), c("b")}, {c("x"), n("V1")}})
 	// Cold run: the first leaf always improves on the empty incumbent, so
 	// Improvements must be positive (a warm-started run may start optimal).
-	res, err := Run(context.Background(), l, r, match.OneToOne, Options{Lambda: lambda, Workers: 1, NoWarmStart: true})
+	opt := Options{Lambda: lambda, NoWarmStart: true}
+	res, err := Run(context.Background(), l, r, match.OneToOne, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,14 +131,12 @@ func TestStatsPopulated(t *testing.T) {
 	if res.EnvStats.PairAttempts == 0 {
 		t.Error("EnvStats.PairAttempts = 0 after a search that adds pairs")
 	}
-	par, err := Run(context.Background(), l, r, match.OneToOne, Options{Lambda: lambda, Workers: 4})
+	again, err := Run(context.Background(), l, r, match.OneToOne, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if par.Score != res.Score {
-		t.Errorf("stats collection perturbed the score: %v vs %v", par.Score, res.Score)
-	}
-	if par.EnvStats.PairAttempts == 0 {
-		t.Error("parallel EnvStats.PairAttempts = 0: worker clones not aggregated")
+	if again.Score != res.Score || again.Nodes != res.Nodes || again.Prunes != res.Prunes ||
+		again.Improvements != res.Improvements || again.EnvStats != res.EnvStats {
+		t.Errorf("rerun differs: %+v vs %+v", again, res)
 	}
 }

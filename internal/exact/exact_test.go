@@ -218,7 +218,7 @@ func TestBudgetStopsSearch(t *testing.T) {
 	// solves this degenerate instance at node 1 (every pair is perfect),
 	// and the parallel node budget is only batch-accurate.
 	res, err := Run(context.Background(), l, r, match.ManyToMany,
-		Options{Lambda: lambda, MaxNodes: 50, Workers: 1, NoWarmStart: true})
+		Options{Lambda: lambda, MaxNodes: 50, NoWarmStart: true})
 	if err != nil {
 		t.Fatal(err)
 	}

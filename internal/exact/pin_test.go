@@ -102,7 +102,7 @@ func TestSoloSearchPinned(t *testing.T) {
 		noise.Seed = tc.seed
 		sc := generator.Make(base, noise)
 		res, err := Run(context.Background(), sc.Source, sc.Target, tc.mode,
-			Options{Lambda: lambda, Workers: 1, MaxNodes: tc.maxNodes, NoWarmStart: tc.cold})
+			Options{Lambda: lambda, MaxNodes: tc.maxNodes, NoWarmStart: tc.cold})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,8 +34,6 @@ type Config struct {
 	ExactTimeout time.Duration
 	// ExactMaxNodes bounds each exact run's search nodes (0 = unbounded).
 	ExactMaxNodes int64
-	// ExactWorkers is the exact search's worker count (0 = GOMAXPROCS).
-	ExactWorkers int
 	// ExactNoWarmStart disables the exact search's signature warm start
 	// (ablation; never changes scores, only wall-clock time).
 	ExactNoWarmStart bool
@@ -66,7 +64,7 @@ func (c Config) exactOpts() exact.Options {
 		Lambda:      c.lambda(),
 		Timeout:     to,
 		MaxNodes:    c.ExactMaxNodes,
-		Workers:     c.ExactWorkers,
+		SigWorkers:  c.SigWorkers,
 		NoWarmStart: c.ExactNoWarmStart,
 	}
 }

@@ -71,7 +71,7 @@ func scanHelper(r *runner, rows [][]int) int {
 	return total
 }
 
-// scanStopFlag polls an atomic stop flag, like exact's shared.stop.
+// scanStopFlag polls an atomic stop flag shared by a pool's workers.
 type worker struct{ stop atomic.Bool }
 
 func (w *worker) drain(rows [][]int) int {

@@ -51,7 +51,7 @@ var readonlyNames = map[string]bool{
 	"LeftImage": true, "RightImage": true, "LeftDegree": true, "RightDegree": true,
 	"LeftTuple": true, "RightTuple": true, "NumLeftTuples": true, "NumRightTuples": true,
 	"Has": true, "ModeAllows": true, "CheckTotality": true, "IsComplete": true,
-	"ValueMapping": true, "Clone": true, "Stats": true, "WouldAccept": true,
+	"ValueMapping": true, "Stats": true, "WouldAccept": true,
 }
 
 type markState int

@@ -1,7 +1,7 @@
 // Package wgdiscipline enforces worker-pool hygiene module-wide
-// (DESIGN.md §16). Every parallel stage in the engine — the exact search's
-// subtree pool, the signature produce/commit scheduler, parallel scoring,
-// lake fan-out, the serve worker pool — follows the same shape: Add before
+// (DESIGN.md §16). Every parallel stage in the engine — the signature
+// produce/commit scheduler, parallel scoring, lake fan-out, the serve
+// worker pool — follows the same shape: Add before
 // go, one Wait on every path out, close only what no worker still writes,
 // and never share a mutable loop variable with a goroutine. Each rule
 // guards a failure mode the race detector only sees on lucky schedules:
@@ -10,8 +10,8 @@
 //     goroutine can reach Wait before the worker ran Add and return while
 //     work is still in flight.
 //   - An Add with no Wait (or a return path that skips the Wait) leaks
-//     goroutines past the function's lifetime — with the engine's
-//     env-clone workers, that is a use-after-return of shared scratch.
+//     goroutines past the function's lifetime — with workers that read
+//     the caller's scratch buffers, that is a use-after-return.
 //   - close(ch) while spawned workers still send on ch is a panic on a
 //     schedule where a worker loses the race.
 //   - A goroutine capturing a variable that the enclosing loop reassigns

@@ -3,7 +3,6 @@ package match
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"testing"
 
 	"instcmp/internal/model"
@@ -83,50 +82,5 @@ func TestImagesGrowAndUndo(t *testing.T) {
 	add(0, 2)
 	if got, want := images(e), "[{0 2}][{0 0}][] /[{0 1}][][{0 0}]"; got != want {
 		t.Errorf("after re-adding: images %s, want %s", got, want)
-	}
-}
-
-// TestCloneGrownConcurrently grows and undoes several clones' images
-// while the original's images are read (run under -race): a clone's
-// first-pair slots are its own, so no clone writes memory the original
-// or another clone reads.
-func TestCloneGrownConcurrently(t *testing.T) {
-	e := nullFixture(t)
-	e.TryAddPair(Pair{L: ref(0), R: ref(0)})
-	e.TryAddPair(Pair{L: ref(1), R: ref(1)})
-	want := images(e)
-	var wg sync.WaitGroup
-	done := make(chan struct{})
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			cl := e.Clone()
-			for iter := 0; iter < 100; iter++ {
-				m := cl.Mark()
-				for i := 0; i < 3; i++ {
-					cl.TryAddPair(Pair{L: ref(i), R: ref((i + w) % 3)})
-					cl.TryAddPair(Pair{L: ref(2), R: ref(i)})
-				}
-				cl.Undo(m)
-			}
-			if got := images(cl); got != want {
-				t.Errorf("clone %d images %s after undo, want %s", w, got, want)
-			}
-		}(w)
-	}
-	go func() { wg.Wait(); close(done) }()
-	for {
-		select {
-		case <-done:
-			if got := images(e); got != want {
-				t.Errorf("original images %s after clones ran, want %s", got, want)
-			}
-			return
-		default:
-			if got := images(e); got != want {
-				t.Fatalf("original images %s while clones ran, want %s", got, want)
-			}
-		}
 	}
 }

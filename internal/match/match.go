@@ -104,8 +104,7 @@ type Env struct {
 
 	// Stats counts the match-construction work done through this
 	// environment (see instcmp.ComparisonStats). Counters are plain ints:
-	// an Env is single-goroutine state, and parallel engines aggregate the
-	// counters of their per-worker clones on completion.
+	// an Env is single-goroutine state.
 	Stats EnvStats
 }
 
@@ -120,14 +119,6 @@ type EnvStats struct {
 	PairRejects int64
 	// ScoreEvals counts pair-score evaluations (score.PairScoreP).
 	ScoreEvals int64
-}
-
-// Add accumulates another environment's counters (used to merge per-worker
-// clones into one total).
-func (s *EnvStats) Add(o EnvStats) {
-	s.PairAttempts += o.PairAttempts
-	s.PairRejects += o.PairRejects
-	s.ScoreEvals += o.ScoreEvals
 }
 
 // ErrSchemaMismatch is returned when the two instances do not share a
@@ -164,23 +155,6 @@ func NewEnv(left, right *model.Instance, mode Mode) (*Env, error) {
 	return NewEnvPrepared(l, r, mode)
 }
 
-// Clone returns an independent copy of the environment: the immutable
-// comparison data (instances, coded relations, interner, flat index bases)
-// is shared, while the mutable match state — unifier, tuple mapping, image
-// tables — is deep-copied. Clones can be extended and rolled back
-// concurrently with each other and with the original, which is what the
-// parallel exact search hands each worker.
-func (e *Env) Clone() *Env {
-	ne := *e
-	// Clones start with fresh counters so per-worker totals can be summed
-	// with the original's without double counting.
-	ne.Stats = EnvStats{}
-	ne.U = e.U.Clone()
-	ne.pairs = append([]Pair(nil), e.pairs...)
-	ne.leftImg, ne.rightImg = cloneImages(e.leftImg, e.rightImg)
-	return &ne
-}
-
 // newImages returns empty image tables for nL left and nR right tuples.
 // Both share one backing array, and each image starts as a capacity-1
 // window into one slab of Refs, so a tuple's first pair is stored without
@@ -195,22 +169,10 @@ func newImages(nL, nR int) (left, right [][]Ref) {
 	return img[:nL:nL], img[nL:]
 }
 
-// cloneImages returns fresh image tables holding the same images.
-func cloneImages(left, right [][]Ref) (l, r [][]Ref) {
-	l, r = newImages(len(left), len(right))
-	for i, refs := range left {
-		l[i] = append(l[i], refs...)
-	}
-	for i, refs := range right {
-		r[i] = append(r[i], refs...)
-	}
-	return l, r
-}
-
 // Replay extends the match with a sequence of pairs, all-or-nothing: when
 // any pair is rejected the environment is rolled back to its prior state
-// and Replay reports false. Search engines use it to re-establish a match
-// (a warm-start incumbent, a subtree-task prefix) in a fresh or cloned
+// and Replay reports false. The exact search uses it to re-establish a
+// match (a warm-start incumbent, the final best match) in a rolled-back
 // environment.
 func (e *Env) Replay(pairs []Pair) bool {
 	m := e.Mark()

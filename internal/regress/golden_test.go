@@ -205,10 +205,9 @@ var goldenExact = []struct {
 }
 
 // TestExactGoldenScores pins the exact engine's score against the golden
-// values across every engine variant: single-threaded and parallel, with
-// and without the signature warm start. The four variants must agree
-// bit-for-bit with each other and with the goldens — the warm start and
-// the parallel decomposition are pure accelerations.
+// values with and without the signature warm start. Both variants must
+// agree bit-for-bit with the goldens — the warm start is a pure
+// acceleration.
 func TestExactGoldenScores(t *testing.T) {
 	for _, tc := range goldenExact {
 		base, err := datasets.Generate(datasets.Doct, 12, tc.seed)
@@ -216,21 +215,18 @@ func TestExactGoldenScores(t *testing.T) {
 			t.Fatal(err)
 		}
 		sc := generator.Make(base, generator.Noise{CellPct: 0.2, Seed: tc.seed})
-		for _, workers := range []int{1, 4} {
-			for _, noWarm := range []bool{false, true} {
-				res, err := exact.Run(context.Background(), sc.Source, sc.Target, match.OneToOne,
-					exact.Options{Lambda: 0.5, Workers: workers, NoWarmStart: noWarm})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !res.Exhaustive {
-					t.Fatalf("seed %d workers=%d noWarm=%v: search not exhaustive",
-						tc.seed, workers, noWarm)
-				}
-				if res.Score != tc.want {
-					t.Errorf("seed %d workers=%d noWarm=%v: score %.17g, golden %.17g",
-						tc.seed, workers, noWarm, res.Score, tc.want)
-				}
+		for _, noWarm := range []bool{false, true} {
+			res, err := exact.Run(context.Background(), sc.Source, sc.Target, match.OneToOne,
+				exact.Options{Lambda: 0.5, NoWarmStart: noWarm})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Exhaustive {
+				t.Fatalf("seed %d noWarm=%v: search not exhaustive", tc.seed, noWarm)
+			}
+			if res.Score != tc.want {
+				t.Errorf("seed %d noWarm=%v: score %.17g, golden %.17g",
+					tc.seed, noWarm, res.Score, tc.want)
 			}
 		}
 	}
@@ -239,7 +235,7 @@ func TestExactGoldenScores(t *testing.T) {
 // TestCompareContextGoldenScores pins that threading a context and
 // collecting the unified stats never perturbs the search: CompareContext
 // with an uncancelable background context reproduces the goldens
-// bit-identically for both algorithms and both worker counts.
+// bit-identically for both algorithms, whatever the ignored ExactWorkers.
 func TestCompareContextGoldenScores(t *testing.T) {
 	sigCase := goldenSignature[0]
 	base, err := datasets.Generate(sigCase.name, sigCase.rows, sigCase.seed)
@@ -294,9 +290,9 @@ func TestCompareContextGoldenScores(t *testing.T) {
 	}
 }
 
-// TestCompareGoldenAcrossExactWorkers pins the same property at the public
-// API level: Compare with AlgoExact returns bit-identical scores for
-// ExactWorkers 1 and 4.
+// TestCompareGoldenAcrossExactWorkers pins that the deprecated ExactWorkers
+// option is ignored at the public API level: Compare with AlgoExact returns
+// the golden scores for ExactWorkers 1 and 4.
 func TestCompareGoldenAcrossExactWorkers(t *testing.T) {
 	for _, tc := range goldenExact {
 		base, err := datasets.Generate(datasets.Doct, 12, tc.seed)

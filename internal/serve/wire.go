@@ -90,7 +90,7 @@ type WireOptions struct {
 	// Algorithm is "auto" (default), "signature", or "exact".
 	Algorithm     string `json:"algorithm,omitempty"`
 	ExactMaxNodes int64  `json:"exact_max_nodes,omitempty"`
-	ExactWorkers  int    `json:"exact_workers,omitempty"`
+	ExactWorkers  int    `json:"exact_workers,omitempty"` // ignored; still decoded so existing requests stay valid
 	SigWorkers    int    `json:"sig_workers,omitempty"`
 	Partial       bool   `json:"partial,omitempty"`
 	MinPartialSig int    `json:"min_partial_sig,omitempty"`

@@ -224,26 +224,6 @@ func (u *Unifier) Merge(a, b model.Value) bool {
 	return u.MergeID(u.in.Intern(a), u.in.Intern(b))
 }
 
-// Clone returns an independent copy of the unifier sharing the interner.
-// The clone merges and undoes without affecting the original, which is what
-// lets parallel searches explore different matches over the same interned
-// comparison; the shared interner must not be mutated while clones are live
-// (comparisons never intern after coding). Clone never mutates u, so
-// multiple goroutines may clone a quiescent unifier concurrently; the
-// clone grows its own per-ID arrays lazily like any other unifier.
-func (u *Unifier) Clone() *Unifier {
-	return &Unifier{
-		in:     u.in,
-		parent: append([]int32(nil), u.parent...),
-		size:   append([]int32(nil), u.size...),
-		nl:     append([]int32(nil), u.nl...),
-		nr:     append([]int32(nil), u.nr...),
-		cls:    append([]model.ValueID(nil), u.cls...),
-		side:   append([]uint8(nil), u.side...),
-		trail:  append([]trailEntry(nil), u.trail...),
-	}
-}
-
 // Mark returns a checkpoint for Undo.
 func (u *Unifier) Mark() int { return len(u.trail) }
 

@@ -3,6 +3,9 @@ package instcmp
 import (
 	"strings"
 	"testing"
+
+	"instcmp/internal/datasets"
+	"instcmp/internal/generator"
 )
 
 // TestCompareRejectsInvalidOptions pins the shared Options validation gate:
@@ -76,6 +79,38 @@ func TestCompareRejectsInvalidOptions(t *testing.T) {
 			if err := path.run(&opt); err != nil {
 				t.Errorf("%s rejected valid options %+v: %v", path.name, opt, err)
 			}
+		}
+	}
+}
+
+// TestExactWarmStartHonorsSigWorkers: the exact search's warm start is a
+// signature run, so Options.SigWorkers sets its pipeline width too. Doct 600
+// is above the pipeline's size gate, so two workers fan out and one runs
+// every phase inline, whatever GOMAXPROCS is.
+func TestExactWarmStartHonorsSigWorkers(t *testing.T) {
+	base, err := datasets.Generate(datasets.Doct, 600, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := generator.Make(base, generator.Noise{CellPct: 0.05, NullReuse: 0.3, Seed: 101})
+	for _, tc := range []struct {
+		workers int
+		fansOut bool
+	}{{1, false}, {2, true}} {
+		res, err := Compare(sc.Source, sc.Target, &Options{
+			Mode: OneToOne, Algorithm: AlgoExact, SigWorkers: tc.workers, ExactMaxNodes: 5000,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.WarmScore < 0 {
+			t.Fatalf("SigWorkers=%d: warm start did not run", tc.workers)
+		}
+		if res.Stats.SigWorkers != tc.workers {
+			t.Errorf("SigWorkers=%d: warm start ran %d pipeline workers", tc.workers, res.Stats.SigWorkers)
+		}
+		if got := res.Stats.SigParallelBlocks > 0; got != tc.fansOut {
+			t.Errorf("SigWorkers=%d: %d fanned-out blocks", tc.workers, res.Stats.SigParallelBlocks)
 		}
 	}
 }

@@ -189,10 +189,10 @@ func comparePrepared(ctx context.Context, lp, rp *Prepared, opt *Options, start 
 	switch algo {
 	case AlgoExact:
 		ex, err := exact.RunEnv(ctx, env, exact.Options{
-			Lambda:   opt.lambda(),
-			MaxNodes: opt.ExactMaxNodes,
-			Timeout:  opt.ExactTimeout,
-			Workers:  opt.ExactWorkers,
+			Lambda:     opt.lambda(),
+			MaxNodes:   opt.ExactMaxNodes,
+			Timeout:    opt.ExactTimeout,
+			SigWorkers: opt.SigWorkers,
 		})
 		if err != nil {
 			return nil, err

@@ -129,12 +129,8 @@ func prepScenarios() []prepScenario {
 }
 
 // assertSameResult fails unless the two results are bit-identical in score,
-// explanation, and deterministic stats counters. The exact engine's node,
-// prune, and pair counters are schedule-dependent when ExactWorkers > 1
-// (workers share the incumbent through an atomic CAS, so pruning varies
-// run to run); those are skipped for parallel exact runs — everything the
-// engine documents as deterministic is compared bitwise.
-func assertSameResult(t *testing.T, label string, a, b *Result, exactParallel bool) {
+// explanation, and every deterministic stats counter.
+func assertSameResult(t *testing.T, label string, a, b *Result) {
 	t.Helper()
 	if math.Float64bits(a.Score) != math.Float64bits(b.Score) {
 		t.Errorf("%s: score %v != %v", label, a.Score, b.Score)
@@ -156,15 +152,13 @@ func assertSameResult(t *testing.T, label string, a, b *Result, exactParallel bo
 		t.Errorf("%s: right value mappings differ:\n%v\n%v", label, a.RightValueMapping, b.RightValueMapping)
 	}
 	as, bs := a.Stats, b.Stats
-	if !exactParallel {
-		if as.Nodes != bs.Nodes || as.Prunes != bs.Prunes || as.Improvements != bs.Improvements {
-			t.Errorf("%s: search counters (%d,%d,%d) != (%d,%d,%d)", label,
-				as.Nodes, as.Prunes, as.Improvements, bs.Nodes, bs.Prunes, bs.Improvements)
-		}
-		if as.PairAttempts != bs.PairAttempts || as.PairRejects != bs.PairRejects || as.ScoreEvals != bs.ScoreEvals {
-			t.Errorf("%s: pair counters (%d,%d,%d) != (%d,%d,%d)", label,
-				as.PairAttempts, as.PairRejects, as.ScoreEvals, bs.PairAttempts, bs.PairRejects, bs.ScoreEvals)
-		}
+	if as.Nodes != bs.Nodes || as.Prunes != bs.Prunes || as.Improvements != bs.Improvements {
+		t.Errorf("%s: search counters (%d,%d,%d) != (%d,%d,%d)", label,
+			as.Nodes, as.Prunes, as.Improvements, bs.Nodes, bs.Prunes, bs.Improvements)
+	}
+	if as.PairAttempts != bs.PairAttempts || as.PairRejects != bs.PairRejects || as.ScoreEvals != bs.ScoreEvals {
+		t.Errorf("%s: pair counters (%d,%d,%d) != (%d,%d,%d)", label,
+			as.PairAttempts, as.PairRejects, as.ScoreEvals, bs.PairAttempts, bs.PairRejects, bs.ScoreEvals)
 	}
 	if math.Float64bits(as.WarmScore) != math.Float64bits(bs.WarmScore) {
 		t.Errorf("%s: warm score %v != %v", label, as.WarmScore, bs.WarmScore)
@@ -204,8 +198,7 @@ func TestPreparedEquivalentToOneShot(t *testing.T) {
 				if err != nil {
 					t.Fatalf("workers=%d: prepared: %v", workers, err)
 				}
-				exactParallel := prepared.Algorithm == AlgoExact && workers > 1
-				assertSameResult(t, fmt.Sprintf("workers=%d", workers), oneShot, prepared, exactParallel)
+				assertSameResult(t, fmt.Sprintf("workers=%d", workers), oneShot, prepared)
 
 				// Prepared state is reusable: a second run over the same
 				// Prepared values must reproduce the result exactly.
@@ -213,7 +206,7 @@ func TestPreparedEquivalentToOneShot(t *testing.T) {
 				if err != nil {
 					t.Fatalf("workers=%d: prepared again: %v", workers, err)
 				}
-				assertSameResult(t, fmt.Sprintf("workers=%d reuse", workers), prepared, again, exactParallel)
+				assertSameResult(t, fmt.Sprintf("workers=%d reuse", workers), prepared, again)
 			}
 		})
 	}
