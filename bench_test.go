@@ -92,6 +92,7 @@ func BenchmarkTable2Exact(b *testing.B) {
 	noise := experiments.Table2Noise
 	noise.Seed = benchSeed
 	sc := generator.Make(base, noise)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := exact.Run(context.Background(), sc.Source, sc.Target, match.OneToOne,
 			exact.Options{Lambda: 0.5, Timeout: 2 * time.Minute})

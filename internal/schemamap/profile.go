@@ -146,10 +146,12 @@ func profileRelation(rel *model.Relation, ri int) RelationProfile {
 }
 
 // isNumeric reports whether a constant's text parses as a number after
-// trimming surrounding space.
+// trimming surrounding space. ParseFloat rejects every text that does not
+// start with a sign, a digit, a dot or the first letter of "inf" or "nan",
+// so such text is rejected before ParseFloat builds an error for it.
 func isNumeric(s string) bool {
 	s = strings.TrimSpace(s)
-	if s == "" {
+	if s == "" || strings.IndexByte("+-.0123456789iInN", s[0]) < 0 {
 		return false
 	}
 	_, err := strconv.ParseFloat(s, 64)

@@ -3,6 +3,8 @@ package schemamap
 import (
 	"fmt"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"instcmp/internal/model"
@@ -245,5 +247,26 @@ func TestUniquify(t *testing.T) {
 	}
 	if got := uniquify("a", used); got != "a··" {
 		t.Fatalf("third = %q", got)
+	}
+}
+
+// TestIsNumericMatchesParseFloat pins isNumeric's first-byte shortcut to
+// ParseFloat on the trimmed text, over the special spellings ParseFloat
+// accepts, the prefixes and separators it handles, and plain words; words
+// must not allocate.
+func TestIsNumericMatchesParseFloat(t *testing.T) {
+	for _, s := range []string{
+		"", " ", "-", "+", ".", "0", "12", " 12 ", "\t-3.5\n", "+.5", "-.5e3", "1e", "1e-7",
+		"inf", "+Inf", "-infinity", "Infinity", "INF", "infx", "NaN", "nan", "-nan", "N/A", "none",
+		"0x1p-2", "0x10", "0X1P+2", "1_000", "0x_1p0", "1,5", "12abc",
+		"oslo", "bergen", "id-3", "user1@example.com", "Ärzte", "ñ", "€5", "(12)", "#1", "true",
+	} {
+		_, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+		if got, want := isNumeric(s), strings.TrimSpace(s) != "" && err == nil; got != want {
+			t.Errorf("isNumeric(%q) = %v, ParseFloat says %v", s, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { isNumeric("bergen") }); n != 0 {
+		t.Errorf("isNumeric on a word allocates %v times", n)
 	}
 }

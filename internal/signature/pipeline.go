@@ -260,12 +260,11 @@ func (s *runner) buildSigMap(crel *model.CodedRelation) (*sigTable, []uint64) {
 	return &s.sigs, s.patterns
 }
 
-// scanBlock is one produced unit of a pass scan: for each row of the
-// block, the signature-table buckets its eligible patterns hit, flattened
-// in probe order. The bucket slices are the sigTable's own (read-only).
-type scanBlock struct {
-	nbkts   []int32 // per row of the block: how many bucket refs follow
-	buckets [][]int32
+// candBlock is one produced unit of a pass or completion scan: for each
+// scanned row of the block, its candidates on the other side, flattened.
+type candBlock struct {
+	ncands []int32 // per scanned row: how many candidates follow
+	cands  []int32
 }
 
 // pass runs FindSigMatches (Alg. 4) for one relation in one direction.
@@ -273,37 +272,48 @@ type scanBlock struct {
 // the left relation and scans the right (Alg. 3 line 3), false the reverse
 // (line 4). Producers probe the (immutable) signature map for each scan
 // row's eligible patterns, progressively smaller attribute subsets (Alg. 4
-// line 6, via the null-pattern optimization); the committer walks the
-// produced buckets in scan order — map-side saturation, tryPair, the
-// scan-side saturation early-out. Empty buckets are skipped at produce
-// time; they would add no attempt.
+// line 6, via the null-pattern optimization), and flatten the rows of the
+// buckets hit into the scan row's candidate list; the committer walks the
+// lists in scan order (commitCands).
+//
+// The candidate lists depend only on the coded inputs, so the
+// perfect-pairs round records them, per relation and direction, as it
+// commits them, and the general round replays the record instead of
+// building the map and probing it again. A canceled pass drops its record;
+// the run stops before the general round.
 func (s *runner) pass(ri int, mapLeft bool) {
 	mapCode, scanCode := s.env.LCode[ri], s.env.RCode[ri]
-	mapSaturated, scanSaturated := s.leftSaturated, s.rightSaturated
+	dir := 0
 	if !mapLeft {
 		mapCode, scanCode = scanCode, mapCode
-		mapSaturated, scanSaturated = s.rightSaturated, s.leftSaturated
+		dir = 1
+	}
+	var record *candBlock
+	if s.replay != nil {
+		record = &s.replay[2*ri+dir]
+		if !s.perfectOnly {
+			s.commitCands(ri, !mapLeft, *record, func(i int) int { return i })
+			*record = candBlock{}
+			return
+		}
 	}
 	sigs, patterns := s.buildSigMap(mapCode)
-	mkPair := func(mapIdx, scanIdx int) match.Pair {
-		if mapLeft {
-			return match.Pair{L: match.Ref{Rel: ri, Idx: mapIdx}, R: match.Ref{Rel: ri, Idx: scanIdx}}
-		}
-		return match.Pair{L: match.Ref{Rel: ri, Idx: scanIdx}, R: match.Ref{Rel: ri, Idx: mapIdx}}
-	}
 	rows := scanCode.Rows()
+	if record != nil {
+		// Most scan rows have one candidate; size for that up front.
+		*record = candBlock{ncands: make([]int32, 0, rows), cands: make([]int32, 0, rows)}
+	}
 	nBlocks := (rows + scanBlockRows - 1) / scanBlockRows
 	ctx := s.ctx
-	produce := func(_ struct{}, bb scanBlock, b int) scanBlock {
+	produce := func(_ struct{}, cb candBlock, b int) candBlock {
 		start := b * scanBlockRows
 		end := min(start+scanBlockRows, rows)
-		bb.nbkts = slices.Grow(bb.nbkts[:0], end-start)[:end-start]
-		clear(bb.nbkts)
-		// Most rows hit one bucket; size for that up front.
-		bb.buckets = slices.Grow(bb.buckets[:0], end-start)
+		cb.ncands = slices.Grow(cb.ncands[:0], end-start)[:end-start]
+		clear(cb.ncands)
+		cb.cands = slices.Grow(cb.cands[:0], end-start)
 		for si := start; si < end; si++ {
 			if (si-start)%cancelPollInterval == 0 && ctx.Err() != nil {
-				// Unproduced rows keep zero bucket counts; the
+				// Unproduced rows keep zero candidate counts; the
 				// committer bails on its own poll before using them.
 				break
 			}
@@ -313,41 +323,61 @@ func (s *runner) pass(ri int, mapLeft bool) {
 				if pm&^ground != 0 {
 					continue // pattern uses an attribute that is null in t
 				}
-				if bkt := sigs.bucket(subHash(row, ground, hg, pm)); len(bkt) > 0 {
-					bb.buckets = append(bb.buckets, bkt)
-					bb.nbkts[si-start]++
-				}
+				bkt := sigs.bucket(subHash(row, ground, hg, pm))
+				cb.cands = append(cb.cands, bkt...)
+				cb.ncands[si-start] += int32(len(bkt))
 			}
 		}
-		return bb
+		return cb
 	}
-	commit := func(b int, bb scanBlock) {
-		base := b * scanBlockRows
-		k := 0
-	scan:
-		for i, n := range bb.nbkts {
-			if i%cancelPollInterval == 0 && s.canceled() {
-				return
-			}
-			si := base + i
-			rowBkts := bb.buckets[k : k+int(n)]
-			k += int(n)
-			for _, bkt := range rowBkts {
-				for _, mi := range bkt {
-					if mapSaturated(match.Ref{Rel: ri, Idx: int(mi)}) {
-						continue
-					}
-					if !s.tryPair(mkPair(int(mi), si)) {
-						continue
-					}
-					if scanSaturated(match.Ref{Rel: ri, Idx: si}) {
-						continue scan // Alg. 4 "goto next scanned tuple"
-					}
-				}
-			}
+	commit := func(b int, cb candBlock) {
+		if record != nil {
+			record.ncands = append(record.ncands, cb.ncands...)
+			record.cands = append(record.cands, cb.cands...)
 		}
+		base := b * scanBlockRows
+		s.commitCands(ri, !mapLeft, cb, func(i int) int { return base + i })
 	}
 	s.scanBlocks += runBlocks(s.fanOut(rows), nBlocks, &s.scanSpare, noState, produce, commit)
+	if record != nil && s.canceled() {
+		*record = candBlock{}
+	}
+}
+
+// commitCands is the committer's greedy loop over produced candidates,
+// shared by the passes (Alg. 4 lines 6-11) and completion (Alg. 3 lines
+// 7-13). Row i of cb is the scanned tuple at(i) of relation ri, on the left
+// side if scanLeft and on the right otherwise; its candidates are tuples on
+// the other side, taken in order: saturated ones are skipped, the rest are
+// tried, and the row ends as soon as the scanned tuple saturates ("goto
+// next tuple").
+func (s *runner) commitCands(ri int, scanLeft bool, cb candBlock, at func(int) int) {
+	scanSaturated, candSaturated := s.rightSaturated, s.leftSaturated
+	if scanLeft {
+		scanSaturated, candSaturated = s.leftSaturated, s.rightSaturated
+	}
+	k := 0
+	for i, n := range cb.ncands {
+		if i%cancelPollInterval == 0 && s.canceled() {
+			return
+		}
+		x := match.Ref{Rel: ri, Idx: at(i)}
+		row := cb.cands[k : k+int(n)]
+		k += int(n)
+		for _, c := range row {
+			y := match.Ref{Rel: ri, Idx: int(c)}
+			if candSaturated(y) {
+				continue
+			}
+			p := match.Pair{L: y, R: x}
+			if scanLeft {
+				p = match.Pair{L: x, R: y}
+			}
+			if s.tryPair(p) && scanSaturated(x) {
+				break
+			}
+		}
+	}
 }
 
 // maxRescueMasks caps the number of shared-attribute masks the rescue round
@@ -500,13 +530,6 @@ func (s *runner) rescue(ri int) {
 	s.sigs = spare.table
 }
 
-// candBlock is one produced unit of a completion scan: for each left row
-// of the block, its CompatibleTuples candidates, flattened.
-type candBlock struct {
-	ncands []int32 // per left row of the block: how many candidates follow
-	cands  []int32
-}
-
 // complete runs the final step of Alg. 3 (lines 5-13): candidate pairs from
 // CompatibleTuples, confirmed greedily against the current match. Candidate
 // lists are fully static — the coded index is built once per relation from
@@ -562,26 +585,7 @@ func (s *runner) complete() {
 		}
 		commit := func(b int, bb candBlock) {
 			base := b * scanBlockRows
-			k := 0
-			for i, n := range bb.ncands {
-				if i%cancelPollInterval == 0 && s.canceled() {
-					return
-				}
-				lref := match.Ref{Rel: ri, Idx: leftIdxs[base+i]}
-				row := bb.cands[k : k+int(n)]
-				k += int(n)
-				for _, ci := range row {
-					if s.rightSaturated(match.Ref{Rel: ri, Idx: int(ci)}) {
-						continue
-					}
-					if !s.tryPair(match.Pair{L: lref, R: match.Ref{Rel: ri, Idx: int(ci)}}) {
-						continue
-					}
-					if s.leftSaturated(lref) {
-						break // Alg. 3 "goto next left tuple"
-					}
-				}
-			}
+			s.commitCands(ri, true, bb, func(i int) int { return leftIdxs[base+i] })
 		}
 		s.completeBlocks += runBlocks(s.fanOut(len(leftIdxs)), nBlocks, &spare, ix.NewProber, produce, commit)
 	}

@@ -113,7 +113,9 @@ type Stats struct {
 	// units the pipeline fanned out to workers per phase (scan blocks of
 	// the signature passes, per-mask rescue tasks, completion candidate
 	// blocks). Units run inline are not counted, so all three stay 0 at
-	// Workers = 1 and below the size gate.
+	// Workers = 1 and below the size gate. The general round's passes
+	// replay the perfect-pairs round's candidates and produce nothing, so
+	// ScanBlocks counts the first round's blocks only.
 	ScanBlocks, RescueTasks, CompleteBlocks int
 }
 
@@ -175,6 +177,8 @@ func RunEnv(ctx context.Context, env *match.Env, opt Options) (*Result, error) {
 	rounds := []bool{true, false}
 	if opt.SingleRound {
 		rounds = []bool{false}
+	} else {
+		s.replay = make([]candBlock, 2*len(env.LRels))
 	}
 rounds:
 	for _, perfect := range rounds {
@@ -241,15 +245,20 @@ type runner struct {
 	// position.
 	sumL, sumR []float64
 	// sigs, patterns, and buildBlocks are buildSigMap scratch reused
-	// across the four builds per relation (two rounds × two directions)
-	// and across relations: the previous pass's index is dead by the time
-	// the next one is built.
+	// across the two builds per relation (one per direction) and across
+	// relations: the previous pass's index is dead by the time the next
+	// one is built.
 	sigs        sigTable
 	patterns    []uint64
 	buildBlocks []buildBlock
 	// scanSpare is the pass scan's inline payload, handed back to the
 	// next pass for reuse.
-	scanSpare scanBlock
+	scanSpare candBlock
+	// replay holds the candidates the perfect-pairs round's passes
+	// committed, at 2*ri for the left-indexed pass of relation ri and at
+	// 2*ri+1 for the right-indexed one, for the general round to commit
+	// again. It is nil when there is one round.
+	replay []candBlock
 	// scanBlocks, rescueTasks, and completeBlocks count fanned-out
 	// pipeline units, feeding Stats.
 	scanBlocks, rescueTasks, completeBlocks int
@@ -320,11 +329,17 @@ func subHash(row []model.ValueID, ground, hg, sub uint64) uint64 {
 
 // sigTable indexes row positions by signature hash: an open-addressing
 // table of power-of-two size and load at most 1/2, whose slots point at
-// runs of one flat row array. It holds no map and no pointers, so the
-// runner reuses it across builds and the GC never scans it.
+// runs of one flat row array. Most probes miss, so a one-hash bit filter
+// of about 16 bits per item, indexed by the hash's top bits (the slots use
+// the low ones), turns most misses away before they touch a slot. It holds
+// no map and no pointers, so the runner reuses it across builds and the GC
+// never scans it.
 type sigTable struct {
-	slots []sigSlot
-	rows  []int32
+	slots  []sigSlot
+	rows   []int32
+	filter []uint64
+	// fshift maps a hash to its filter bit: h >> fshift.
+	fshift uint8
 }
 
 // sigSlot is one table slot: the rows indexed under hash h are
@@ -350,6 +365,13 @@ func (t *sigTable) fill(ctx context.Context, nChunks int, chunk func(int) []sigI
 	}
 	t.slots = slices.Grow(t.slots[:0], size)[:size]
 	clear(t.slots)
+	fbits := 64
+	for fbits < 16*nItems {
+		fbits <<= 1
+	}
+	t.filter = slices.Grow(t.filter[:0], fbits/64)[:fbits/64]
+	clear(t.filter)
+	t.fshift = uint8(64 - bits.TrailingZeros(uint(fbits)))
 	mask := uint64(size - 1)
 	for c := 0; c < nChunks; c++ {
 		items := chunk(c)
@@ -365,6 +387,8 @@ func (t *sigTable) fill(ctx context.Context, nChunks int, chunk func(int) []sigI
 			t.slots[j].h = items[i].h
 			t.slots[j].n++
 			items[i].slot = int32(j)
+			f := items[i].h >> t.fshift
+			t.filter[f/64] |= 1 << (f % 64)
 		}
 	}
 	var end int32
@@ -387,15 +411,20 @@ func (t *sigTable) fill(ctx context.Context, nChunks int, chunk func(int) []sigI
 	}
 }
 
-// empty leaves the table with one empty slot and no rows.
+// empty leaves the table with one empty slot, no rows and a clear filter.
 func (t *sigTable) empty() {
 	t.slots = append(t.slots[:0], sigSlot{})
 	t.rows = t.rows[:0]
+	t.filter = append(t.filter[:0], 0)
+	t.fshift = 64 - 6
 }
 
 // bucket returns the rows indexed under the given signature hash, in item
 // order; nil when there are none.
 func (t *sigTable) bucket(h uint64) []int32 {
+	if !t.mayHold(h) {
+		return nil
+	}
 	mask := uint64(len(t.slots) - 1)
 	for j := h & mask; t.slots[j].n != 0; j = (j + 1) & mask {
 		if sl := t.slots[j]; sl.h == h {
@@ -403,6 +432,13 @@ func (t *sigTable) bucket(h uint64) []int32 {
 		}
 	}
 	return nil
+}
+
+// mayHold reports whether the filter lets a probe of h through; false
+// means no item has hash h.
+func (t *sigTable) mayHold(h uint64) bool {
+	f := h >> t.fshift
+	return t.filter[f/64]&(1<<(f%64)) != 0
 }
 
 // sortPatterns orders distinct signature masks canonically: larger

@@ -93,7 +93,8 @@ func (c *countdownCtx) Err() error {
 
 // TestSigTableCanceledFill cancels fills at every poll: the table must come
 // out either complete or empty, never with runs pointing at unplaced or
-// stale rows, even when it held a larger index before.
+// stale rows, even when it held a larger index before. An empty table's
+// filter is clear, so it turns away every probe.
 func TestSigTableCanceledFill(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	var tab sigTable
@@ -113,9 +114,12 @@ func TestSigTableCanceledFill(t *testing.T) {
 				if complete && !slices.Equal(got, ref[h]) {
 					t.Fatalf("iter %d: uncanceled fill: bucket(%#x) = %v, want %v", iter, h, got, ref[h])
 				}
-				if !complete && len(got) != 0 {
-					t.Fatalf("iter %d: fill canceled at poll %d: bucket(%#x) = %v, want empty", iter, polls, h, got)
+				if !complete && (len(got) != 0 || tab.mayHold(h)) {
+					t.Fatalf("iter %d: fill canceled at poll %d: bucket(%#x) = %v, want empty and filtered", iter, polls, h, got)
 				}
+			}
+			if n := setFilterBits(&tab); !complete && n != 0 {
+				t.Fatalf("iter %d: fill canceled at poll %d left %d filter bits set", iter, polls, n)
 			}
 			if complete {
 				break
@@ -204,5 +208,82 @@ func TestSigHashSubsetIdentity(t *testing.T) {
 	}
 	if cellHash(0, 0) == 0 {
 		t.Error("cellHash(0, 0) == 0: a signature would hash equal with and without that cell")
+	}
+}
+
+// filterBits returns the distinct filter bits of the given hashes.
+func filterBits(tab *sigTable, hs []uint64) map[uint64]bool {
+	out := map[uint64]bool{}
+	for _, h := range hs {
+		out[h>>tab.fshift] = true
+	}
+	return out
+}
+
+// setFilterBits counts the bits set in the table's filter.
+func setFilterBits(tab *sigTable) int {
+	n := 0
+	for _, w := range tab.filter {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// TestSigTableFilter checks the probe filter on random fills, one table
+// reused across them: it is a power of two of at least 16 bits per item;
+// it passes every present hash; absent hashes that share a present hash's
+// low bits (its first slot) or its top bits (its filter bit) come back
+// nil, and those whose filter bit no present hash sets are turned away by
+// the filter itself; and after each fill, large or small, exactly the
+// present hashes' bits are set, so no stale bit lets a miss through.
+func TestSigTableFilter(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	var tab sigTable
+	for iter := 0; iter < 500; iter++ {
+		// Alternate large and small fills.
+		n := 1 + rng.Intn(8)
+		if iter%2 == 0 {
+			n = 500 + rng.Intn(3000)
+		}
+		items := make([]sigItem, n)
+		present := map[uint64]bool{}
+		var hs []uint64
+		for i := range items {
+			h := rng.Uint64()
+			if i > 0 && rng.Intn(4) == 0 {
+				h = items[rng.Intn(i)].h
+			}
+			items[i] = sigItem{h: h, ti: int32(i)}
+			if !present[h] {
+				present[h] = true
+				hs = append(hs, h)
+			}
+		}
+		tab.fill(context.Background(), 1, func(int) []sigItem { return items })
+		if fb := 64 * len(tab.filter); fb&(fb-1) != 0 || fb < 16*n || (fb > 64 && fb >= 32*n) {
+			t.Fatalf("iter %d: %d filter bits for %d items", iter, fb, n)
+		}
+		on := filterBits(&tab, hs)
+		if got := setFilterBits(&tab); got != len(on) {
+			t.Fatalf("iter %d: %d filter bits set, %d present hashes set %d", iter, got, len(hs), len(on))
+		}
+		for _, h := range hs {
+			if !tab.mayHold(h) || len(tab.bucket(h)) == 0 {
+				t.Fatalf("iter %d: present hash %#x filtered out", iter, h)
+			}
+			sameLow := h ^ (1 << 63) ^ rng.Uint64()&^(uint64(len(tab.slots))-1)
+			sameTop := h ^ (1 + rng.Uint64()&(1<<tab.fshift-1)>>1)
+			for _, miss := range []uint64{sameLow, sameTop} {
+				if present[miss] {
+					continue
+				}
+				if got := tab.bucket(miss); got != nil {
+					t.Fatalf("iter %d: absent hash %#x (near %#x) returned %v", iter, miss, h, got)
+				}
+				if !on[miss>>tab.fshift] && tab.mayHold(miss) {
+					t.Fatalf("iter %d: absent hash %#x passed the filter on a clear bit", iter, miss)
+				}
+			}
+		}
 	}
 }
