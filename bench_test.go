@@ -114,8 +114,10 @@ func BenchmarkTable2Exact(b *testing.B) {
 // leaf — so a cold run burns its whole budget proving nothing, while the
 // signature warm start hands the search an incumbent that meets the root's
 // optimistic bound and certifies the optimum at node 1. The nowarm variant
-// is the same canonical DFS from an empty incumbent under a 10-second
-// budget; Exhaustive is not asserted there because it never finishes.
+// is the same canonical DFS from an empty incumbent, stopped by a budget of
+// 10⁵ nodes: the search is deterministic, so every iteration walks the
+// same nodes, and the variant asserts that the budget, not certification,
+// ended it. Both variants report their node count.
 //
 // The cold/rows=N variants are searches that do certify without the warm
 // start, after 10⁴–10⁵ nodes: Doct n-to-m with the paper's Table-3 noise
@@ -130,24 +132,27 @@ func BenchmarkExactSearch(b *testing.B) {
 		CellPct: 0.05, RandomPct: 0.1, RedundantPct: 0.1, Seed: benchSeed,
 	})
 	for _, v := range []struct {
-		name       string
-		opt        exact.Options
-		exhaustive bool
+		name    string
+		opt     exact.Options
+		stopped string // "" asserts an exhaustive search
 	}{
-		{"warm", exact.Options{Lambda: 0.5, Timeout: 2 * time.Minute}, true},
-		{"nowarm", exact.Options{Lambda: 0.5, NoWarmStart: true, Timeout: 10 * time.Second}, false},
+		{"warm", exact.Options{Lambda: 0.5, Timeout: 2 * time.Minute}, ""},
+		{"nowarm", exact.Options{Lambda: 0.5, NoWarmStart: true, MaxNodes: 100000}, exact.StoppedNodeBudget},
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			b.ReportAllocs()
+			var nodes int64
 			for i := 0; i < b.N; i++ {
 				res, err := exact.Run(context.Background(), sc.Source, sc.Target, match.ManyToMany, v.opt)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if v.exhaustive && !res.Exhaustive {
-					b.Fatal("warm-started search did not finish at bench size")
+				if res.Exhaustive != (v.stopped == "") || res.Stopped != v.stopped {
+					b.Fatalf("search exhaustive %v, stopped %q; want stopped %q", res.Exhaustive, res.Stopped, v.stopped)
 				}
+				nodes = res.Nodes
 			}
+			b.ReportMetric(float64(nodes), "nodes")
 		})
 	}
 	for _, rows := range []int{30, 40, 60} {

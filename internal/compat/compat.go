@@ -5,14 +5,17 @@
 // check (t ≃ t').
 //
 // The index, CodedIndex, runs on the integer-coded rows of a
-// model.CodedRelation: it groups cells by ValueID and rows by ground mask in
-// flat counting-sorted arrays, and performs the pairwise unification check
-// with a reusable scratch union-find — no map lookup when probing, no
-// per-candidate allocation and no string hashing. CCompatible and Compatible state Def. 6.1 over
-// Values and serve as the reference the coded check is tested against.
+// model.CodedRelation: it groups constant cells by ValueID and null cells by
+// attribute in flat counting-sorted arrays. A probe walks one term of
+// Alg. 2's intersection, the most selective one, and performs the pairwise
+// unification check with a reusable scratch union-find — no map lookup when
+// probing, no per-candidate allocation and no string hashing.
+// CCompatible and Compatible state Def. 6.1 over Values and serve as the
+// reference the coded check is tested against.
 package compat
 
 import (
+	"math/bits"
 	"slices"
 
 	"instcmp/internal/model"
@@ -116,20 +119,25 @@ func (u *pairUF) find(j int32) int32 {
 
 // compatibleRows is the coded form of CCompatible && Compatible: it reports
 // whether two coded rows admit value mappings with h_l(t) = h_r(t'),
-// reading nullness from the ID-indexed flag table.
-func compatibleRows(a, b []model.ValueID, null []bool, uf *pairUF) bool {
+// reading each row's nullness from its ground mask (so a probe may hold IDs
+// interned after the index was built). Most rejected rows conflict on a
+// constant both rows hold, so those attributes are compared first, and the
+// union-find only sees the attributes where a row is null.
+func compatibleRows(a []model.ValueID, am uint64, b []model.ValueID, bm uint64, uf *pairUF) bool {
+	both := am & bm
+	for m := both; m != 0; m &= m - 1 {
+		if i := bits.TrailingZeros64(m); a[i] != b[i] {
+			return false
+		}
+	}
 	uf.reset()
 	for i, la := range a {
-		lb := b[i]
-		an, bn := null[la], null[lb]
-		if !an && !bn {
-			if la != lb {
-				return false
-			}
+		if both&(1<<i) != 0 {
 			continue
 		}
-		ra := uf.find(uf.add(la, !an))
-		rb := uf.find(uf.add(lb, !bn))
+		lb := b[i]
+		ra := uf.find(uf.add(la, am&(1<<i) != 0))
+		rb := uf.find(uf.add(lb, bm&(1<<i) != 0))
 		if ra == rb {
 			continue
 		}
@@ -147,165 +155,186 @@ func compatibleRows(a, b []model.ValueID, null []bool, uf *pairUF) bool {
 
 // CodedIndex is the index V_A of Alg. 2 over a coded relation, probed
 // with coded rows. Constant cells are grouped by ValueID, which covers every
-// attribute's V_A buckets at once. Instead of the paper's single * bucket
-// per attribute, rows are grouped by their ground mask (the set of
-// constant-valued attributes), which lets a probe enumerate "all
-// probe-constant attributes are null here" rows without scanning every row
-// that has a null somewhere. Both groupings are counting-sorted flat
-// arrays, so a build is a few slice allocations plus a mask-to-group map
-// that does not outlive it, and a probe touches no map. It is what the
-// exact search, the signature algorithm's completion step and the scenario
-// generator's gold extension run on.
+// attribute's V_A buckets at once, and null cells by attribute, which are
+// the paper's * buckets. Both groupings are counting-sorted flat arrays, so
+// a build is a few slice allocations plus a mask-to-group map that does not
+// outlive it, and a probe touches no map. It is what the exact search, the
+// signature algorithm's completion step and the scenario generator's gold
+// extension run on.
 type CodedIndex struct {
 	crel *model.CodedRelation
-	null []bool
 	// Cells off[id]:off[id+1] of rows/attrs hold constant id: row rows[k]
 	// holds it at attribute attrs[k], sorted by attribute, then row.
 	// len(off) is one more than the interner's Len at build time.
 	off   []int32
 	rows  []int32
 	attrs []uint8
-	// masks lists the distinct ground masks in first-seen order; the rows
-	// with ground mask masks[g] are mrows[moff[g]:moff[g+1]], in row order.
-	masks []uint64
-	moff  []int32
-	mrows []int32
+	// The rows null at attribute a are nrows[noff[a]:noff[a+1]], in row
+	// order.
+	noff  []int32
+	nrows []int32
+	// indexed lists the indexed rows in row order. group[ti] numbers
+	// indexed row ti's ground mask (its set of constant-valued attributes)
+	// in first-seen order.
+	indexed []int32
+	group   []int32
 }
 
 // NewCodedIndex builds the index over the listed row positions (nil means
-// all rows). The interner must be the one the relation was coded with.
+// all rows), which must be ascending. The interner must be the one the
+// relation was coded with.
 func NewCodedIndex(crel *model.CodedRelation, idxs []int, in *model.Interner) *CodedIndex {
 	n := len(idxs)
 	if idxs == nil {
 		n = crel.Rows()
 	}
-	at := func(k int) int {
-		if idxs == nil {
-			return k
-		}
-		return idxs[k]
-	}
-	ix := &CodedIndex{crel: crel, null: in.NullFlags(), off: make([]int32, in.Len()+1)}
-	// First pass: count each constant's cells and each row's mask group.
-	// group is scratch sharing one allocation with mrows.
-	buf := make([]int32, 2*n)
-	ix.mrows = buf[:n:n]
-	group := buf[n:]
+	ix := &CodedIndex{crel: crel, off: make([]int32, in.Len()+1)}
+	// First pass: list the rows, count each constant's cells and each
+	// attribute's null cells, and number the ground masks. indexed, group
+	// and noff share one allocation.
+	rows := crel.Rows()
+	buf := make([]int32, n+rows+crel.Arity+1)
+	ix.indexed, ix.group, ix.noff = buf[:n:n], buf[n:n+rows:n+rows], buf[n+rows:]
 	groups := map[uint64]int32{}
 	for k := 0; k < n; k++ {
-		ti := at(k)
+		ti := k
+		if idxs != nil {
+			ti = idxs[k]
+		}
+		ix.indexed[k] = int32(ti)
 		row, mask := crel.Row(ti), crel.Masks[ti]
 		for a, id := range row {
 			if mask&(1<<a) != 0 {
 				ix.off[id+1]++
+			} else {
+				ix.noff[a+1]++
 			}
 		}
 		g, seen := groups[mask]
 		if !seen {
-			g = int32(len(ix.masks))
+			g = int32(len(groups))
 			groups[mask] = g
-			ix.masks = append(ix.masks, mask)
 		}
-		group[k] = g
+		ix.group[ti] = g
 	}
 	for i := 1; i < len(ix.off); i++ {
 		ix.off[i] += ix.off[i-1]
 	}
+	for a := 1; a < len(ix.noff); a++ {
+		ix.noff[a] += ix.noff[a-1]
+	}
 	cells := int(ix.off[len(ix.off)-1])
-	flat := make([]int32, cells+len(ix.masks)+1)
-	ix.rows, ix.moff = flat[:cells:cells], flat[cells:]
+	flat := make([]int32, cells+int(ix.noff[crel.Arity]))
+	ix.rows, ix.nrows = flat[:cells:cells], flat[cells:]
 	ix.attrs = make([]uint8, cells)
-	for _, g := range group {
-		ix.moff[g+1]++
-	}
-	for g := 1; g < len(ix.moff); g++ {
-		ix.moff[g] += ix.moff[g-1]
-	}
-	// Second pass: place cells and rows, using each group's start as its
-	// cursor; afterwards every start has advanced to the next group's, and
-	// shifting the offsets up by one restores them. Cells are placed
-	// attribute by attribute, so each ID's cells are sorted by attribute,
-	// then row.
+	// Second pass: place the cells, using each list's start as its cursor;
+	// afterwards every start has advanced to the next list's, and shifting
+	// the offsets up by one restores them. Cells are placed attribute by
+	// attribute, so each ID's cells are sorted by attribute, then row.
 	for a := 0; a < crel.Arity; a++ {
-		for k := 0; k < n; k++ {
-			ti := at(k)
+		for _, ti := range ix.indexed {
 			if crel.Masks[ti]&(1<<a) != 0 {
-				id := crel.Row(ti)[a]
+				id := crel.Row(int(ti))[a]
 				c := ix.off[id]
-				ix.rows[c], ix.attrs[c] = int32(ti), uint8(a)
+				ix.rows[c], ix.attrs[c] = ti, uint8(a)
 				ix.off[id]++
+			} else {
+				ix.nrows[ix.noff[a]] = ti
+				ix.noff[a]++
 			}
 		}
 	}
-	for k, g := range group {
-		ix.mrows[ix.moff[g]] = int32(at(k))
-		ix.moff[g]++
+	for _, o := range [][]int32{ix.off, ix.noff} {
+		copy(o[1:], o)
+		o[0] = 0
 	}
-	copy(ix.off[1:], ix.off)
-	ix.off[0] = 0
-	copy(ix.moff[1:], ix.moff)
-	ix.moff[0] = 0
 	return ix
 }
 
 // Prober is a probe cursor over a CodedIndex: it shares the index's
-// immutable arrays but owns the per-probe scratch (the dedup stamps, the
-// pairwise union-find, the output slice), so any number of Probers may
-// probe one index concurrently — the signature algorithm's completion step
-// creates one per pipeline worker. Candidate order is a function of the
-// index alone, so every prober returns identical lists for identical
+// immutable arrays but owns the per-probe scratch (the pairwise
+// union-find, the sort keys, the output slice), so any number of Probers
+// may probe one index concurrently — the signature algorithm's completion
+// step creates one per pipeline worker. Candidate order is a function of
+// the index alone, so every prober returns identical lists for identical
 // probes.
 type Prober struct {
-	ix    *CodedIndex
-	stamp []int32
-	gen   int32
-	uf    pairUF
-	out   []int
+	ix   *CodedIndex
+	uf   pairUF
+	keys []uint64
+	out  []int
 }
 
 // NewProber returns a fresh probe cursor over the index.
 func (ix *CodedIndex) NewProber() *Prober {
-	return &Prober{ix: ix, stamp: make([]int32, ix.crel.Rows())}
+	return &Prober{ix: ix}
+}
+
+// term returns the cheapest term of Alg. 2's intersection for a probe
+// with at least one constant: the probe-constant attribute a with the
+// fewest rows that hold the probe's constant at a (cells) plus rows that
+// are null at a (nulls). Every row compatible with the probe is in one of
+// the two lists, and no row is in both.
+func (ix *CodedIndex) term(row []model.ValueID, probeMask uint64) (a int, cells, nulls []int32) {
+	// IDs interned after the build are in no cell.
+	built := model.ValueID(len(ix.off) - 1)
+	best := -1
+	for m := probeMask; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		var cs []int32
+		if id := row[b]; id < built {
+			lo, hi := int(ix.off[id]), int(ix.off[id+1])
+			from, _ := slices.BinarySearch(ix.attrs[lo:hi], uint8(b))
+			to, _ := slices.BinarySearch(ix.attrs[lo:hi], uint8(b+1))
+			cs = ix.rows[lo+from : lo+to]
+		}
+		ns := ix.nrows[ix.noff[b]:ix.noff[b+1]]
+		if best < 0 || len(cs)+len(ns) < best {
+			a, cells, nulls, best = b, cs, ns, len(cs)+len(ns)
+			if best == 0 {
+				break
+			}
+		}
+	}
+	return a, cells, nulls
 }
 
 // Candidates returns the positions of indexed rows compatible (t ≃ t') with
 // the probe row, whose ground mask the caller supplies (the coded relations
-// precompute it). Every compatible row either shares a constant with the
-// probe on some attribute (and is among that constant's cells) or is null
-// on every probe-constant attribute (and is in a mask group disjoint from
-// the probe's); both groups are filtered through the exact pairwise check.
-// The returned slice is reused and only valid until the prober's next call.
+// precompute it), in ascending order of (the first attribute where both
+// rows are constant, else the arity plus the row's mask group; then row
+// position). That is the order of a walk over the union of the probe's
+// constant cells, attribute by attribute, followed by the rows of each
+// ground mask disjoint from the probe's, mask by mask. Every compatible row
+// holds the probe's constant or a null at each probe-constant attribute,
+// so only the cheapest such attribute's two lists (term) are filtered
+// through the exact pairwise check; a probe without constants checks every
+// indexed row. The returned slice is reused and only valid until the
+// prober's next call.
 func (p *Prober) Candidates(row []model.ValueID, probeMask uint64) []int {
 	ix := p.ix
-	p.gen++
-	p.out = p.out[:0]
-	check := func(ti int32) {
-		if p.stamp[ti] == p.gen {
-			return
-		}
-		p.stamp[ti] = p.gen
-		if compatibleRows(row, ix.crel.Row(int(ti)), ix.null, &p.uf) {
-			p.out = append(p.out, int(ti))
-		}
+	cells, nulls := ix.indexed, []int32(nil)
+	if probeMask != 0 {
+		_, cells, nulls = ix.term(row, probeMask)
 	}
-	// IDs interned after the build are in no cell.
-	built := model.ValueID(len(ix.off) - 1)
-	for a, id := range row {
-		if probeMask&(1<<a) == 0 || id >= built {
-			continue
-		}
-		lo, hi := int(ix.off[id]), int(ix.off[id+1])
-		c, _ := slices.BinarySearch(ix.attrs[lo:hi], uint8(a))
-		for c += lo; c < hi && int(ix.attrs[c]) == a; c++ {
-			check(ix.rows[c])
-		}
-	}
-	for g, mask := range ix.masks {
-		if mask&probeMask == 0 {
-			for _, ti := range ix.mrows[ix.moff[g]:ix.moff[g+1]] {
-				check(ti)
+	p.keys = p.keys[:0]
+	for _, list := range [2][]int32{cells, nulls} {
+		for _, ti := range list {
+			mask := ix.crel.Masks[ti]
+			if !compatibleRows(row, probeMask, ix.crel.Row(int(ti)), mask, &p.uf) {
+				continue
 			}
+			key := uint64(ix.crel.Arity) + uint64(ix.group[ti])
+			if both := mask & probeMask; both != 0 {
+				key = uint64(bits.TrailingZeros64(both))
+			}
+			p.keys = append(p.keys, key<<32|uint64(ti))
 		}
+	}
+	slices.Sort(p.keys)
+	p.out = p.out[:0]
+	for _, k := range p.keys {
+		p.out = append(p.out, int(uint32(k)))
 	}
 	return p.out
 }

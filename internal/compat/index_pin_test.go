@@ -2,6 +2,7 @@ package compat
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -16,7 +17,6 @@ import (
 // pinned against.
 type mapCodedIndex struct {
 	crel    *model.CodedRelation
-	null    []bool
 	byConst []map[model.ValueID][]int32
 	byMask  map[uint64][]int32
 	masks   []uint64
@@ -25,7 +25,6 @@ type mapCodedIndex struct {
 func newMapCodedIndex(crel *model.CodedRelation, idxs []int, in *model.Interner) *mapCodedIndex {
 	ix := &mapCodedIndex{
 		crel:    crel,
-		null:    in.NullFlags(),
 		byConst: make([]map[model.ValueID][]int32, crel.Arity),
 		byMask:  map[uint64][]int32{},
 	}
@@ -65,7 +64,7 @@ func (ix *mapCodedIndex) candidates(row []model.ValueID, probeMask uint64) []int
 			return
 		}
 		seen[ti] = true
-		if compatibleRows(row, ix.crel.Row(int(ti)), ix.null, &uf) {
+		if compatibleRows(row, probeMask, ix.crel.Row(int(ti)), ix.crel.Masks[ti], &uf) {
 			out = append(out, int(ti))
 		}
 	}
@@ -86,23 +85,26 @@ func (ix *mapCodedIndex) candidates(row []model.ValueID, probeMask uint64) []int
 	return out
 }
 
-// pinRelation draws a random relation: constants come from one pool shared
-// by every attribute (so one ValueID sits in several attributes' buckets),
-// nulls from a small per-side pool (so a null repeats within and across
-// rows), at a null rate of nullPct percent.
-func pinRelation(rng *rand.Rand, side string, rows, arity, consts, nullPct int) *model.Relation {
+// pinRelation draws a random relation: constants at attribute a come from
+// the first pools[a] values of one pool shared by every attribute (so one
+// ValueID sits in several attributes' buckets), nulls from a small per-side
+// pool (so a null repeats within and across rows), at a null rate of
+// nullPct percent; about one row in ten of a side with nulls is null
+// throughout.
+func pinRelation(rng *rand.Rand, side string, rows int, pools []int, nullPct int) *model.Relation {
 	r := &model.Relation{Name: "R"}
-	for a := 0; a < arity; a++ {
+	for a := range pools {
 		r.Attrs = append(r.Attrs, fmt.Sprintf("A%d", a))
 	}
 	nulls := 1 + rows/3
 	for i := 0; i < rows; i++ {
-		vals := make([]model.Value, arity)
+		allNull := nullPct > 0 && rng.Intn(10) == 0
+		vals := make([]model.Value, len(pools))
 		for a := range vals {
-			if rng.Intn(100) < nullPct {
+			if allNull || rng.Intn(100) < nullPct {
 				vals[a] = model.Nullf("%s%d", side, rng.Intn(nulls))
 			} else {
-				vals[a] = model.Constf("k%d", rng.Intn(consts))
+				vals[a] = model.Constf("k%d", rng.Intn(pools[a]))
 			}
 		}
 		r.Tuples = append(r.Tuples, model.Tuple{ID: model.TupleID(i), Values: vals})
@@ -112,18 +114,37 @@ func pinRelation(rng *rand.Rand, side string, rows, arity, consts, nullPct int) 
 
 // TestCodedIndexMatchesMapIndex pins CodedIndex's candidate lists, order
 // included, to the map-bucketed reference over random coded relations:
-// 1-6 attributes, null rates up to 80%, repeated nulls, constants shared
-// across attributes, probe constants the index never saw (the left pool is
+// 1-20 attributes, 1-200 rows, null rates up to 80%, all-null probe rows,
+// repeated nulls, constants shared across attributes, low-cardinality
+// leading attributes (so the probe's cheapest term is often a later
+// attribute), probe constants the index never saw (the left pools are
 // wider), and both a nil and an ascending-subset idxs.
 func TestCodedIndexMatchesMapIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
+	var laterTerms, allNullProbes int
 	for trial := 0; trial < 400; trial++ {
 		arity := 1 + rng.Intn(6)
+		if trial%5 == 4 {
+			arity = 1 + rng.Intn(20)
+		}
+		rows := 20
+		if trial%8 == 7 {
+			rows = 200
+		}
 		nullPct := []int{0, 20, 50, 80}[trial%4]
 		consts := 2 + rng.Intn(6)
+		rpools, lpools := make([]int, arity), make([]int, arity)
+		for a := range rpools {
+			rpools[a] = consts
+			if trial%3 == 2 {
+				// Attribute a draws from at most a+1 values.
+				rpools[a] = 1 + rng.Intn(a+1)
+			}
+			lpools[a] = rpools[a] + 2
+		}
 		in := model.NewInterner(0)
-		left := in.Code(pinRelation(rng, "L", 1+rng.Intn(20), arity, consts+2, nullPct))
-		right := in.Code(pinRelation(rng, "R", 1+rng.Intn(20), arity, consts, nullPct))
+		left := in.Code(pinRelation(rng, "L", 1+rng.Intn(rows), lpools, nullPct))
+		right := in.Code(pinRelation(rng, "R", 1+rng.Intn(rows), rpools, nullPct))
 		var idxs []int
 		if trial%2 == 1 {
 			idxs = []int{}
@@ -134,15 +155,25 @@ func TestCodedIndexMatchesMapIndex(t *testing.T) {
 			}
 		}
 		ref := newMapCodedIndex(right, idxs, in)
-		pr := NewCodedIndex(right, idxs, in).NewProber()
+		ix := NewCodedIndex(right, idxs, in)
+		pr := ix.NewProber()
 		for li := 0; li < left.Rows(); li++ {
 			row, mask := left.Row(li), left.Masks[li]
+			if mask == 0 {
+				allNullProbes++
+			} else if a, _, _ := ix.term(row, mask); a != bits.TrailingZeros64(mask) {
+				laterTerms++
+			}
 			got := slices.Clone(pr.Candidates(row, mask))
 			if want := ref.candidates(row, mask); !slices.Equal(got, want) {
 				t.Fatalf("trial %d (arity %d, idxs %v) left row %d %v: candidates %v, want %v",
 					trial, arity, idxs, li, row, got, want)
 			}
 		}
+	}
+	if laterTerms == 0 || allNullProbes == 0 {
+		t.Errorf("inputs too narrow: %d probes chose a term after their first constant, %d probes were all null",
+			laterTerms, allNullProbes)
 	}
 }
 
@@ -175,5 +206,37 @@ func TestCodedIndexLateProbeID(t *testing.T) {
 	row = right.Row(0)
 	if got, want := pr.Candidates(row, right.Masks[0]), ref.candidates(row, right.Masks[0]); !slices.Equal(got, want) {
 		t.Errorf("probe after late ID = %v, want %v", got, want)
+	}
+}
+
+// TestCodedIndexLateIDNullTerm probes with a constant interned after the
+// index was built, at an attribute where few indexed rows are null: that
+// attribute's term, no cells and two null rows, is the cheapest, so the
+// pairwise check reads the late ID. One null row unifies with the probe;
+// the other repeats its null at both attributes, which would have to equal
+// both the late constant and k.
+func TestCodedIndexLateIDNullTerm(t *testing.T) {
+	in := model.NewInterner(0)
+	right := in.Code(buildRel(
+		[]model.Value{c("a"), c("k")},
+		[]model.Value{c("b"), c("k")},
+		[]model.Value{n("V1"), c("k")},
+		[]model.Value{n("V2"), n("V2")},
+		[]model.Value{c("d"), c("k")},
+	))
+	ref := newMapCodedIndex(right, nil, in)
+	ix := NewCodedIndex(right, nil, in)
+	built := in.Len()
+	probe := in.Code(buildRel([]model.Value{c("late"), c("k")}))
+	row, mask := probe.Row(0), probe.Masks[0]
+	if int(row[0]) < built {
+		t.Fatalf("probe ID %d was not interned after the index's values", row[0])
+	}
+	if a, cells, nulls := ix.term(row, mask); a != 0 || len(cells) != 0 || !slices.Equal(nulls, []int32{2, 3}) {
+		t.Fatalf("term = attribute %d, cells %v, nulls %v; want attribute 0, no cells, nulls [2 3]", a, cells, nulls)
+	}
+	got := ix.NewProber().Candidates(row, mask)
+	if want := ref.candidates(row, mask); !slices.Equal(got, want) || !slices.Equal(got, []int{2}) {
+		t.Errorf("late-ID probe candidates = %v, reference %v, want [2]", got, want)
 	}
 }

@@ -109,8 +109,8 @@ func TestSignatureLargeInstanceWorkerInvariance(t *testing.T) {
 	const (
 		wantScore    = 0x3fe88d2ceb622ad4 // Float64bits of score and ScoreAfterSig
 		wantPairs    = 1576               // all of them signature matches
-		wantAttempts = 5686
-		wantRejects  = 3766
+		wantAttempts = 1922
+		wantRejects  = 2
 		wantEvals    = 5072
 	)
 	var ref *instcmp.Result

@@ -407,8 +407,23 @@ type rescueTask struct {
 // Producers do not filter saturated left rows out of the index —
 // saturation moves while earlier masks commit — so the committer checks it
 // at probe time; saturated entries are skipped there and change nothing
-// else. The attempted-pair dedup map lives on the committer and is shared
-// across masks in mask order.
+// else.
+//
+// A pair (l, r) is tried only at its own mask, M = ground(l) & ground(r),
+// although its rows may hash equal at sub-masks of M too. Against trying
+// each pair at the first mask where it hashes equal, this drops only calls
+// that are rejected, so the accepted pairs and their order are unchanged
+// (DESIGN.md §12):
+//   - Masks run largest first, so M precedes its sub-masks, and the
+//     maxRescueMasks cut drops M together with all of them.
+//   - A pair that agrees on all of M meets M first; there it is tried, or
+//     skipped for a saturation that persists through every later mask.
+//   - A pair that conflicts on a shared constant is never accepted. Without
+//     Partial, TryAddPair rejects it. With Partial, TryAddPartialPair
+//     accepts it only when the rows share at least MinPartialSig constants;
+//     then the rows share a partial signature, a pass tried the pair while
+//     both rows were unmatched and accepted it, and the rows are not in the
+//     rescue at all.
 func (s *runner) rescue(ri int) {
 	lcode, rcode := s.env.LCode[ri], s.env.RCode[ri]
 
@@ -493,10 +508,8 @@ func (s *runner) rescue(ri int) {
 		t.probes = eligible(t.probes[:0], rcode, rightUn, masks[mi])
 		return t
 	}
-	// Tuple pairs share many mask intersections; attempt each pair once.
-	// One rescue stays inside relation ri, so (li, ci) keys a pair.
-	attempted := map[uint64]bool{}
-	commit := func(_ int, t rescueTask) {
+	commit := func(mi int, t rescueTask) {
+		m := masks[mi]
 		for n, pr := range t.probes {
 			if n%cancelPollInterval == 0 && s.canceled() {
 				return
@@ -506,17 +519,14 @@ func (s *runner) rescue(ri int) {
 			if s.rightSaturated(rref) {
 				continue
 			}
+			rmask := rcode.Masks[ci]
 			for _, li32 := range t.table.bucket(pr.h) {
 				li := int(li32)
 				lref := match.Ref{Rel: ri, Idx: li}
-				if s.leftSaturated(lref) {
+				// Each pair is tried only at its own mask.
+				if lcode.Masks[li]&rmask != m || s.leftSaturated(lref) {
 					continue
 				}
-				key := uint64(li)<<32 | uint64(ci)
-				if attempted[key] {
-					continue
-				}
-				attempted[key] = true
 				if s.tryPair(match.Pair{L: lref, R: rref}) && s.rightSaturated(rref) {
 					break
 				}

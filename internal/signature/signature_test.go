@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"instcmp/internal/match"
@@ -197,5 +198,65 @@ func TestAllNullTuples(t *testing.T) {
 	r := build([][]model.Value{{n("V1"), n("V2")}})
 	if got := run(t, l, r, match.OneToOne).Score; math.Abs(got-1) > 1e-9 {
 		t.Errorf("all-null isomorphic score = %v, want 1", got)
+	}
+}
+
+// TestRescueTriesPairsAtTheirIntersection checks that the rescue round
+// tries a pair only at its own mask, the intersection of its ground masks.
+// The left row (a, b, N1) agrees with the right row (a, x, N3) on A, a
+// sub-mask of their own mask AB, but conflicts on B; it agrees with
+// (a, N2, c) on its own mask A. The maximal-signature passes miss both
+// pairs, so the rescue enumerates AB and A. At A the conflicting pair
+// hashes equal, yet the rescue must not try it: it tries exactly one pair,
+// and accepts it. With Partial and MinPartialSig 1 the passes accept the
+// conflicting pair (the rows share one constant), and the rescue has no
+// unmatched left row.
+func TestRescueTriesPairsAtTheirIntersection(t *testing.T) {
+	l := build([][]model.Value{{c("a"), c("b"), n("N1")}})
+	r := build([][]model.Value{
+		{c("a"), c("x"), n("N3")},
+		{c("a"), n("N2"), c("c")},
+	})
+	conflict, rescued := match.Pair{R: match.Ref{Idx: 0}}, match.Pair{R: match.Ref{Idx: 1}}
+	for _, tc := range []struct {
+		label    string
+		opt      Options
+		mode     match.Mode
+		attempts int64
+		want     []match.Pair
+	}{
+		{"1to1", Options{}, match.OneToOne, 1, []match.Pair{rescued}},
+		{"ntom", Options{}, match.ManyToMany, 1, []match.Pair{rescued}},
+		{"partial-2-1to1", Options{Partial: true, MinPartialSig: 2}, match.OneToOne, 1, []match.Pair{rescued}},
+		{"partial-2-ntom", Options{Partial: true, MinPartialSig: 2}, match.ManyToMany, 1, []match.Pair{rescued}},
+		{"partial-1-1to1", Options{Partial: true, MinPartialSig: 1}, match.OneToOne, 0, []match.Pair{conflict}},
+		{"partial-1-ntom", Options{Partial: true, MinPartialSig: 1}, match.ManyToMany, 0, []match.Pair{conflict, rescued}},
+	} {
+		t.Run(tc.label, func(t *testing.T) {
+			tc.opt.Lambda = lambda
+			// Drive the general round's passes and the rescue by hand,
+			// so the counters taken around rescue count its attempts alone.
+			env, err := match.NewEnv(l, r, tc.mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := &runner{env: env, ctx: context.Background(), opt: tc.opt, workers: 1,
+				sumL: make([]float64, env.NumLeftTuples()), sumR: make([]float64, env.NumRightTuples())}
+			s.pass(0, true)
+			s.pass(0, false)
+			before := env.Stats
+			s.rescue(0)
+			attempts, rejects := env.Stats.PairAttempts-before.PairAttempts, env.Stats.PairRejects-before.PairRejects
+			if attempts != tc.attempts || rejects != 0 {
+				t.Errorf("rescue made %d attempts with %d rejects, want %d attempts and none rejected", attempts, rejects, tc.attempts)
+			}
+			res, err := Run(context.Background(), l, r, tc.mode, tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.Env.Pairs(); !slices.Equal(got, tc.want) {
+				t.Errorf("match %v, want %v", got, tc.want)
+			}
+		})
 	}
 }
