@@ -1,7 +1,7 @@
 package instcmp_test
 
 // Small sweep over public surface left uncovered by the behavioral tests:
-// rendering helpers, the exported Normalize, and totality validation.
+// rendering helpers and totality validation.
 
 import (
 	"strings"
@@ -13,39 +13,6 @@ import (
 	"instcmp/internal/unify"
 	"instcmp/internal/versioning"
 )
-
-func TestNormalizePublic(t *testing.T) {
-	l := instcmp.NewInstance()
-	l.AddRelation("R", "A")
-	l.Append("R", instcmp.Null("N1"))
-	r := instcmp.NewInstance()
-	r.AddRelation("R", "A")
-	r.Append("R", instcmp.Null("N1")) // same null name and same tuple id space
-
-	nl, nr, err := instcmp.Normalize(l, r, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range nl.Vars() {
-		if nr.Vars()[v] {
-			t.Errorf("normalized instances share null %v", v)
-		}
-	}
-	// Original inputs untouched.
-	if !l.Vars()[instcmp.Null("N1")] || !r.Vars()[instcmp.Null("N1")] {
-		t.Error("Normalize mutated its inputs")
-	}
-
-	// Schema mismatch without alignment is an error.
-	bad := instcmp.NewInstance()
-	bad.AddRelation("S", "B")
-	if _, _, err := instcmp.Normalize(l, bad, false); err == nil {
-		t.Error("schema mismatch not reported")
-	}
-	if _, _, err := instcmp.Normalize(l, bad, true); err != nil {
-		t.Errorf("aligned normalize failed: %v", err)
-	}
-}
 
 func TestCheckTotalityPositive(t *testing.T) {
 	l := instcmp.NewInstance()

@@ -139,9 +139,11 @@ type Options struct {
 	// signature run, the exact search's warm start included: 0 =
 	// GOMAXPROCS, 1 = every phase inline on the calling goroutine (as is
 	// any phase below the pipeline's size gate, whatever the count).
-	// Workers only do read-only work and a single committer applies
-	// pairs in canonical scan order, so scores and stats are
-	// bit-identical for every worker count; only wall-clock time changes.
+	// The pass scan, the rescue and completion fan out; the sig-map build
+	// and scoring always run inline. Workers only do read-only work and a
+	// single committer applies pairs in canonical scan order, so scores
+	// and stats are bit-identical for every worker count; only wall-clock
+	// time changes.
 	SigWorkers int
 	// Partial enables the Sec. 6.3 partial-mapping variant of the
 	// signature algorithm.

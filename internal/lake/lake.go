@@ -312,47 +312,42 @@ func rankSources(ctx context.Context, example *instcmp.Prepared, lake []candidat
 		out[i] = r
 	}
 	// Rank fails as a whole when any comparison fails, so once an error is
-	// recorded there is no point launching further comparisons: the loops
-	// below fail fast. Results computed before the error are still written
-	// to their out slots, keeping the (discarded) partial state
-	// deterministic, and the first error by candidate order is returned.
-	// That ordering guarantee holds in the concurrent path because
-	// launches happen strictly in candidate order: when the fail-fast
-	// break stops launching, the launched candidates form a prefix
-	// [0..k] of the lake, every one of them runs to completion under
-	// wg.Wait, and the scan below returns the lowest-index error of that
-	// prefix — no unlaunched candidate has a smaller index than a
-	// launched one (pinned by TestRankReturnsFirstErrorByCandidateOrder).
+	// recorded there is no point starting further comparisons: workers stop
+	// claiming candidates once failed is set or ctx is done. Workers claim
+	// candidate indexes from one counter in ascending order, so the claimed
+	// candidates form a prefix of the lake, and every claimed candidate runs
+	// to completion before the scan below. The scan therefore returns the
+	// lowest-index error of that prefix, which is the first error by
+	// candidate order: no unclaimed candidate precedes a claimed one (pinned
+	// by TestRankReturnsFirstErrorByCandidateOrder). Results computed before
+	// the error are still written to their out slots, keeping the
+	// (discarded) partial state deterministic.
+	var next atomic.Int64
 	var failed atomic.Bool
-	if opt.Workers > 1 {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, opt.Workers)
-		for i := range lake {
-			if failed.Load() || ctx.Err() != nil {
-				break
-			}
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				rank(i)
-				if errs[i] != nil {
-					failed.Store(true)
-				}
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := range lake {
-			if ctx.Err() != nil {
-				break
+	work := func() {
+		for !failed.Load() && ctx.Err() == nil {
+			i := int(next.Add(1)) - 1
+			if i >= len(lake) {
+				return
 			}
 			rank(i)
 			if errs[i] != nil {
-				break
+				failed.Store(true)
 			}
 		}
+	}
+	if workers := min(opt.Workers, len(lake)); workers > 1 {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		wg.Wait()
+	} else {
+		work()
 	}
 	for _, err := range errs {
 		if err != nil {

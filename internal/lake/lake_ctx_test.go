@@ -64,10 +64,10 @@ func wideInstance(arity int) *instcmp.Instance {
 
 // TestRankReturnsFirstErrorByCandidateOrder pins the documented fail-fast
 // guarantee: when several candidates fail, Rank returns the error of the
-// lowest-index failing candidate, for both the sequential and the concurrent
-// path. The two failing candidates have distinct arities (65 vs 66), so their
-// ErrTooManyAttributes messages are distinguishable even though alignName
-// erases relation-name differences.
+// lowest-index failing candidate at every worker count, including more
+// workers than candidates. The two failing candidates have distinct arities
+// (65 vs 66), so their ErrTooManyAttributes messages are distinguishable
+// even though alignName erases relation-name differences.
 func TestRankReturnsFirstErrorByCandidateOrder(t *testing.T) {
 	example := wideInstance(2)
 	cands := []Candidate{
@@ -77,7 +77,7 @@ func TestRankReturnsFirstErrorByCandidateOrder(t *testing.T) {
 		{Name: "bad-66", Instance: wideInstance(66)},
 		{Name: "ok-4", Instance: wideInstance(2)},
 	}
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{1, 2, 4, 16} {
 		// The concurrent path schedules candidates nondeterministically;
 		// repeat to give a wrong ordering a chance to surface.
 		for iter := 0; iter < 20; iter++ {
@@ -149,7 +149,7 @@ func TestRankContextCanceled(t *testing.T) {
 	example, cands := buildLake(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{1, 2, 4, 16} {
 		_, err := Rank(ctx, example, cands, Options{Workers: workers})
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)

@@ -47,9 +47,8 @@ var undoNames = map[string]bool{"Undo": true, "Rollback": true}
 // mutator — staying conservative keeps the check sound for new methods.
 var readonlyNames = map[string]bool{
 	"Mark": true, "Pairs": true, "NumPairs": true, "FlatL": true, "FlatR": true,
-	"LeftRow": true, "RightRow": true, "LeftMask": true, "RightMask": true,
+	"LeftRow": true, "RightRow": true, "NumLeftTuples": true, "NumRightTuples": true,
 	"LeftImage": true, "RightImage": true, "LeftDegree": true, "RightDegree": true,
-	"LeftTuple": true, "RightTuple": true, "NumLeftTuples": true, "NumRightTuples": true,
 	"Has": true, "ModeAllows": true, "CheckTotality": true, "IsComplete": true,
 	"ValueMapping": true, "Stats": true, "WouldAccept": true,
 }

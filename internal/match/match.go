@@ -198,16 +198,6 @@ func (e *Env) NumLeftTuples() int { return e.nL }
 // NumRightTuples returns the size of the right flat index space.
 func (e *Env) NumRightTuples() int { return e.nR }
 
-// LeftTuple returns the left tuple addressed by ref.
-func (e *Env) LeftTuple(ref Ref) *model.Tuple {
-	return &e.LRels[ref.Rel].Tuples[ref.Idx]
-}
-
-// RightTuple returns the right tuple addressed by ref.
-func (e *Env) RightTuple(ref Ref) *model.Tuple {
-	return &e.RRels[ref.Rel].Tuples[ref.Idx]
-}
-
 // LeftRow returns the coded row of a left tuple.
 func (e *Env) LeftRow(ref Ref) []model.ValueID {
 	return e.LCode[ref.Rel].Row(ref.Idx)
@@ -217,12 +207,6 @@ func (e *Env) LeftRow(ref Ref) []model.ValueID {
 func (e *Env) RightRow(ref Ref) []model.ValueID {
 	return e.RCode[ref.Rel].Row(ref.Idx)
 }
-
-// LeftMask returns the ground mask of a left tuple.
-func (e *Env) LeftMask(ref Ref) uint64 { return e.LCode[ref.Rel].Masks[ref.Idx] }
-
-// RightMask returns the ground mask of a right tuple.
-func (e *Env) RightMask(ref Ref) uint64 { return e.RCode[ref.Rel].Masks[ref.Idx] }
 
 // Pairs returns the current tuple mapping. The slice is shared; callers
 // must not mutate it.

@@ -7,13 +7,12 @@
 // compared by dense ValueID (equal constants are equal IDs), ⊓ comes from
 // the ID-indexed union-find, and per-tuple accumulation uses flat arrays
 // instead of Ref-keyed maps. The Value-based Cell/CellP entry points remain
-// for callers outside the coded world.
+// for callers outside the coded world. Scoring runs on the calling
+// goroutine: fanning pair scores out to workers measured no faster at 2
+// CPUs (DESIGN.md §12).
 package score
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"instcmp/internal/match"
 	"instcmp/internal/model"
 	"instcmp/internal/unify"
@@ -91,14 +90,6 @@ func PairScore(e *match.Env, p match.Pair, lambda float64) float64 {
 // PairScoreP is PairScore with full scoring parameters.
 func PairScoreP(e *match.Env, pair match.Pair, p Params) float64 {
 	e.Stats.ScoreEvals++
-	return pairScoreRaw(e, pair, p)
-}
-
-// pairScoreRaw is PairScoreP without the stats update: tupleScores counts
-// its evaluations in one batch, so its fan-out workers never write the
-// shared counter. Everything it reads (the coded rows, the unifier after a
-// Sync) is immutable during scoring.
-func pairScoreRaw(e *match.Env, pair match.Pair, p Params) float64 {
 	lrow, rrow := e.LeftRow(pair.L), e.RightRow(pair.R)
 	s := 0.0
 	for i := range lrow {
@@ -116,27 +107,13 @@ func Match(e *match.Env, lambda float64) float64 {
 
 // MatchP is Match with full scoring parameters.
 func MatchP(e *match.Env, params Params) float64 {
-	return MatchPW(e, params, 1)
-}
-
-// MatchPW is MatchP with a parallel pair-scoring fan-out across workers
-// (<= 1 scores in place; see tupleScores). The result is bit-identical to
-// MatchP for every worker count.
-func MatchPW(e *match.Env, params Params, workers int) float64 {
 	den := float64(e.Left.Size() + e.Right.Size())
 	if den == 0 {
 		return 1
 	}
-	l, r := tupleScores(e, params, workers)
+	l, r := tupleScores(e, params)
 	return (l + r) / den
 }
-
-// minParallelPairs gates parallel tuple scoring: below this many matched
-// pairs the fan-out costs more than the scoring it splits.
-const minParallelPairs = 2048
-
-// scoreBlockPairs is the work unit of the parallel scoring fan-out.
-const scoreBlockPairs = 512
 
 // tupleScores returns the Def. 5.2 tuple scores summed over all left tuples
 // and all right tuples: each matched tuple contributes the average pair
@@ -145,32 +122,14 @@ const scoreBlockPairs = 512
 // endpoints' averages. Accumulation is indexed by flattened tuple position
 // and follows the tuple mapping's insertion order, so equal matches always
 // yield bit-identical scores (no map-iteration nondeterminism).
-//
-// With workers > 1 and at least minParallelPairs pairs, the pair scores are
-// computed up front across workers; otherwise the fold scores each pair in
-// place. Either way the fold runs in the same order, so the result is
-// bit-identical for every worker count.
-func tupleScores(e *match.Env, params Params, workers int) (left, right float64) {
-	pairs := e.Pairs()
-	var scores []float64
-	if workers > 1 && len(pairs) >= minParallelPairs {
-		scores = scorePairs(e, pairs, params, workers)
-	}
-	// One batch update instead of per-pair increments: the fan-out's
-	// workers must not write the shared counter.
-	e.Stats.ScoreEvals += int64(len(pairs))
+func tupleScores(e *match.Env, params Params) (left, right float64) {
 	lsum := make([]float64, e.NumLeftTuples())
 	rsum := make([]float64, e.NumRightTuples())
 	lcnt := make([]int32, e.NumLeftTuples())
 	rcnt := make([]int32, e.NumRightTuples())
 	var lorder, rorder []int32
-	for i, p := range pairs {
-		var s float64
-		if scores != nil {
-			s = scores[i]
-		} else {
-			s = pairScoreRaw(e, p, params)
-		}
+	for _, p := range e.Pairs() {
+		s := PairScoreP(e, p, params)
 		fl, fr := e.FlatL(p.L), e.FlatR(p.R)
 		if lcnt[fl] == 0 {
 			lorder = append(lorder, int32(fl))
@@ -190,36 +149,4 @@ func tupleScores(e *match.Env, params Params, workers int) (left, right float64)
 		right += rsum[fr] / float64(rcnt[fr])
 	}
 	return left, right
-}
-
-// scorePairs computes every pair's score across workers. Pair scores are
-// independent of one another — scoring only reads the frozen match and
-// unifier — so workers fill disjoint blocks of the score array.
-func scorePairs(e *match.Env, pairs []match.Pair, params Params, workers int) []float64 {
-	// Grow the unifier's lazily-sized arrays up front so the workers'
-	// reads never observe a growth (comparisons never intern mid-run, so
-	// this is a no-op in practice).
-	e.U.Sync()
-	scores := make([]float64, len(pairs))
-	nBlocks := (len(pairs) + scoreBlockPairs - 1) / scoreBlockPairs
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < min(workers, nBlocks); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				b := int(next.Add(1)) - 1
-				if b >= nBlocks {
-					return
-				}
-				end := min((b+1)*scoreBlockPairs, len(pairs))
-				for i := b * scoreBlockPairs; i < end; i++ {
-					scores[i] = pairScoreRaw(e, pairs[i], params)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return scores
 }

@@ -1,7 +1,8 @@
 // Produce/commit pipeline for the signature algorithm (DESIGN.md §12): the
-// one implementation of each phase — sig-map build, pass scan, rescue, and
-// completion. The greedy phase is order-sensitive: tryPair's net-gain guard
-// reads insertion-time score sums and live degrees, so the set of accepted
+// one implementation of each phase — pass scan, rescue, and completion —
+// plus the sig-map build each pass probes, which always runs inline. The
+// greedy phase is order-sensitive: tryPair's net-gain guard reads
+// insertion-time score sums and live degrees, so the set of accepted
 // pairs depends on the exact order in which candidates are attempted. The
 // pipeline therefore never lets producers touch the match: produce does the
 // read-only work (signature hashing, pattern probing, compatible-candidate
@@ -36,16 +37,14 @@ import (
 
 const (
 	// minParallelRows gates fan-out: below this many input rows (scan
-	// rows, unmatched rescue rows, completion left rows, indexed rows) the
-	// fan-out overhead dominates the work being split and the phase runs
-	// inline even with Workers > 1.
+	// rows, unmatched rescue rows, completion left rows) the fan-out
+	// overhead dominates the work being split and the phase runs inline
+	// even with Workers > 1.
 	minParallelRows = 512
 	// scanBlockRows is the produce/commit unit of the pass and completion
 	// scans: big enough to amortize channel traffic, small enough that a
 	// handful of blocks are always in flight ahead of the committer.
 	scanBlockRows = 256
-	// sigBuildBlockRows is the hashing unit of the sigMap build.
-	sigBuildBlockRows = 1024
 )
 
 // fanOut is the pipeline's one size gate: the worker count for a phase over
@@ -148,36 +147,6 @@ func runBlocks[S, T any](workers, n int, spare *T, newState func() S, produce fu
 // noState is the per-worker state of phases whose producers need none.
 func noState() struct{} { return struct{}{} }
 
-// parallelFor runs fn(i) for i in [0, n) across workers goroutines and
-// waits for all of them (a plain barrier, used where every sub-result is
-// needed before the next step can start); with one effective worker it
-// runs inline.
-func parallelFor(workers, n int, fn func(int)) {
-	workers = min(workers, n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // sigItem is one record of a sigTable fill: a row's signature hash under
 // one pattern, plus the row position. slot is fill's scratch: the item's
 // table slot, recorded by the counting pass for the placement pass.
@@ -186,77 +155,55 @@ type sigItem struct {
 	ti, slot int32
 }
 
-// buildBlock is one hashing block of the sigMap build; the runner keeps
-// them to reuse their buffers across builds.
-type buildBlock struct {
-	items []sigItem
-	masks []uint64 // distinct patterns of the block, first-seen order
-	seen  map[uint64]bool
-}
-
 // buildSigMap indexes every row of the coded relation into the runner's
 // sigTable and returns it with the distinct indexed patterns, largest
 // first. In the default mode each row is indexed once, under its maximal
 // signature (Alg. 4 line 3). In partial mode each row is indexed under
 // every signature with at least MinPartialSig attributes (Sec. 6.3).
 //
-// The build runs in two steps. Step 1 hashes fixed-size row blocks, fanned
-// out, each block recording its (hash, row) items in row order plus the
-// distinct patterns it saw. Step 2 fills the table from the blocks in
-// order, so bucket contents are in row order. The pattern list is the
-// sorted, deduplicated union of the per-block pattern sets; sortPatterns is
-// a total order over distinct masks, so it is independent of discovery
-// order. Cancellation is polled every cancelPollInterval subsets hashed, so
-// partial mode's enumeration of 2^|ground| subsets per row answers it too;
-// a canceled build leaves the table empty.
+// The build runs inline at every worker count: hashing is a small share of
+// a pass, and fanning it out measured no faster at 2 CPUs (DESIGN.md §12).
+// Items are recorded in row order, so bucket contents are in row order, and
+// sortPatterns is a total order over distinct masks, so the pattern list
+// does not depend on discovery order. Cancellation is polled every
+// cancelPollInterval subsets hashed, so partial mode's enumeration of
+// 2^|ground| subsets per row answers it too; a canceled build leaves the
+// table empty.
 func (s *runner) buildSigMap(crel *model.CodedRelation) (*sigTable, []uint64) {
 	rows := crel.Rows()
 	partial, minSig := s.opt.Partial, max(s.opt.MinPartialSig, 1)
-	nBlocks := (rows + sigBuildBlockRows - 1) / sigBuildBlockRows
-	for len(s.buildBlocks) < nBlocks {
-		s.buildBlocks = append(s.buildBlocks, buildBlock{seen: map[uint64]bool{}})
-	}
-	blocks := s.buildBlocks[:nBlocks]
-	ctx := s.ctx
-	parallelFor(s.fanOut(rows), nBlocks, func(b int) {
-		start := b * sigBuildBlockRows
-		end := min(start+sigBuildBlockRows, rows)
-		bb := &blocks[b]
-		bb.items, bb.masks = bb.items[:0], bb.masks[:0]
-		clear(bb.seen)
-		hashed := 0
-		add := func(ti int, mask, h uint64) {
-			if !bb.seen[mask] {
-				bb.seen[mask] = true
-				bb.masks = append(bb.masks, mask)
-			}
-			bb.items = append(bb.items, sigItem{h: h, ti: int32(ti)})
-		}
-		for ti := start; ti < end; ti++ {
-			row, ground := crel.Row(ti), crel.Masks[ti]
-			hg := sigHash(row, ground)
-			for sub := ground; ; sub = (sub - 1) & ground {
-				if hashed%cancelPollInterval == 0 && ctx.Err() != nil {
-					return
-				}
-				hashed++
-				if !partial || bits.OnesCount64(sub) >= minSig {
-					add(ti, sub, subHash(row, ground, hg, sub))
-				}
-				if !partial || sub == 0 {
-					break
-				}
-			}
-		}
-	})
-	s.sigs.fill(ctx, nBlocks, func(b int) []sigItem { return blocks[b].items })
+	// The default mode records exactly one item per row.
+	items := slices.Grow(s.items[:0], rows)
 	s.patterns = s.patterns[:0]
-	for _, bb := range blocks {
-		s.patterns = append(s.patterns, bb.masks...)
+	if s.seen == nil {
+		s.seen = map[uint64]bool{}
 	}
-	// Sorting brings a pattern's copies from different blocks together.
+	clear(s.seen)
+	hashed := 0
+scan:
+	for ti := 0; ti < rows; ti++ {
+		row, ground := crel.Row(ti), crel.Masks[ti]
+		hg := sigHash(row, ground)
+		for sub := ground; ; sub = (sub - 1) & ground {
+			if hashed%cancelPollInterval == 0 && s.canceled() {
+				break scan
+			}
+			hashed++
+			if !partial || bits.OnesCount64(sub) >= minSig {
+				if !s.seen[sub] {
+					s.seen[sub] = true
+					s.patterns = append(s.patterns, sub)
+				}
+				items = append(items, sigItem{h: subHash(row, ground, hg, sub), ti: int32(ti)})
+			}
+			if !partial || sub == 0 {
+				break
+			}
+		}
+	}
+	s.items = items
+	s.sigs.fill(s.ctx, items)
 	sortPatterns(s.patterns)
-	s.patterns = slices.Compact(s.patterns)
 	return &s.sigs, s.patterns
 }
 
@@ -504,7 +451,7 @@ func (s *runner) rescue(ri int) {
 	produce := func(_ struct{}, t rescueTask, mi int) rescueTask {
 		t.entries = eligible(t.entries[:0], lcode, leftUn, masks[mi])
 		// fill leaves the table empty if the cancel cut entries short.
-		t.table.fill(ctx, 1, func(int) []sigItem { return t.entries })
+		t.table.fill(ctx, t.entries)
 		t.probes = eligible(t.probes[:0], rcode, rightUn, masks[mi])
 		return t
 	}

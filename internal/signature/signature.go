@@ -68,10 +68,12 @@ type Options struct {
 	// Workers is the number of pipeline workers inside a single run: 0
 	// means GOMAXPROCS, 1 runs every phase inline on the calling
 	// goroutine, as does any phase below the minParallelRows size gate.
-	// The result is bit-identical for every worker count — workers only
-	// do read-only work (signature hashing, pattern probing, candidate
-	// generation) and a single committer applies pairs in canonical scan
-	// order (DESIGN.md §12) — so only wall-clock time changes.
+	// Only the pass scan, the rescue and completion fan out; the sig-map
+	// build and scoring always run inline. The result is bit-identical
+	// for every worker count — workers only do read-only work (pattern
+	// probing, sub-signature hashing, candidate generation) and a single
+	// committer applies pairs in canonical scan order (DESIGN.md §12) — so
+	// only wall-clock time changes.
 	Workers int
 
 	// Ablation switches (benchmarks only; the defaults are what the
@@ -203,7 +205,7 @@ rounds:
 	}
 	r.Stats.SigMatches = env.NumPairs()
 	r.Stats.SigPhase = time.Since(start)
-	r.Stats.ScoreAfterSig = score.MatchPW(env, opt.params(), workers)
+	r.Stats.ScoreAfterSig = score.MatchP(env, opt.params())
 
 	//instlint:allow nondet -- phase stopwatch feeds Stats.CompatPhase, a human-facing duration, never a score
 	start = time.Now()
@@ -213,7 +215,7 @@ rounds:
 	r.Stats.CompatMatches = env.NumPairs() - r.Stats.SigMatches
 	r.Stats.CompatPhase = time.Since(start)
 
-	r.Score = score.MatchPW(env, opt.params(), workers)
+	r.Score = score.MatchP(env, opt.params())
 	if s.canceled() {
 		r.Stopped = StoppedCanceled
 		vars.Add("canceled", 1)
@@ -244,13 +246,14 @@ type runner struct {
 	// backing the net-gain guard in tryPair. Indexed by flattened tuple
 	// position.
 	sumL, sumR []float64
-	// sigs, patterns, and buildBlocks are buildSigMap scratch reused
+	// sigs, items, patterns, and seen are buildSigMap scratch reused
 	// across the two builds per relation (one per direction) and across
 	// relations: the previous pass's index is dead by the time the next
 	// one is built.
-	sigs        sigTable
-	patterns    []uint64
-	buildBlocks []buildBlock
+	sigs     sigTable
+	items    []sigItem
+	patterns []uint64
+	seen     map[uint64]bool
 	// scanSpare is the pass scan's inline payload, handed back to the
 	// next pass for reuse.
 	scanSpare candBlock
@@ -349,65 +352,54 @@ type sigSlot struct {
 	off, n int32
 }
 
-// fill indexes the items of chunks 0..nChunks-1, taken in order, so that
-// bucket(h) lists the ti of every item with hash h in item order. It runs
-// in two passes: counting run lengths, then placing rows in reverse item
-// order from the end of each run. If ctx is canceled, fill leaves the
-// table empty, so every probe stays in bounds.
-func (t *sigTable) fill(ctx context.Context, nChunks int, chunk func(int) []sigItem) {
-	nItems := 0
-	for c := 0; c < nChunks; c++ {
-		nItems += len(chunk(c))
-	}
+// fill indexes items so that bucket(h) lists the ti of every item with
+// hash h in item order. It runs in two passes: counting run lengths, then
+// placing rows in reverse item order from the end of each run. If ctx is
+// canceled, fill leaves the table empty, so every probe stays in bounds.
+func (t *sigTable) fill(ctx context.Context, items []sigItem) {
 	size := 1
-	for size < 2*nItems {
+	for size < 2*len(items) {
 		size <<= 1
 	}
 	t.slots = slices.Grow(t.slots[:0], size)[:size]
 	clear(t.slots)
 	fbits := 64
-	for fbits < 16*nItems {
+	for fbits < 16*len(items) {
 		fbits <<= 1
 	}
 	t.filter = slices.Grow(t.filter[:0], fbits/64)[:fbits/64]
 	clear(t.filter)
 	t.fshift = uint8(64 - bits.TrailingZeros(uint(fbits)))
 	mask := uint64(size - 1)
-	for c := 0; c < nChunks; c++ {
-		items := chunk(c)
-		for i := range items {
-			if i%cancelPollInterval == 0 && ctx.Err() != nil {
-				t.empty()
-				return
-			}
-			j := items[i].h & mask
-			for t.slots[j].n != 0 && t.slots[j].h != items[i].h {
-				j = (j + 1) & mask
-			}
-			t.slots[j].h = items[i].h
-			t.slots[j].n++
-			items[i].slot = int32(j)
-			f := items[i].h >> t.fshift
-			t.filter[f/64] |= 1 << (f % 64)
+	for i := range items {
+		if i%cancelPollInterval == 0 && ctx.Err() != nil {
+			t.empty()
+			return
 		}
+		j := items[i].h & mask
+		for t.slots[j].n != 0 && t.slots[j].h != items[i].h {
+			j = (j + 1) & mask
+		}
+		t.slots[j].h = items[i].h
+		t.slots[j].n++
+		items[i].slot = int32(j)
+		f := items[i].h >> t.fshift
+		t.filter[f/64] |= 1 << (f % 64)
 	}
 	var end int32
 	for j := range t.slots {
 		end += t.slots[j].n
 		t.slots[j].off = end
 	}
-	t.rows = slices.Grow(t.rows[:0], nItems)[:nItems]
-	for c := nChunks - 1; c >= 0; c-- {
-		if ctx.Err() != nil {
+	t.rows = slices.Grow(t.rows[:0], len(items))[:len(items)]
+	for i := len(items) - 1; i >= 0; i-- {
+		if i%cancelPollInterval == 0 && ctx.Err() != nil {
 			t.empty()
 			return
 		}
-		items := chunk(c)
-		for i := len(items) - 1; i >= 0; i-- {
-			sl := &t.slots[items[i].slot]
-			sl.off--
-			t.rows[sl.off] = items[i].ti
-		}
+		sl := &t.slots[items[i].slot]
+		sl.off--
+		t.rows[sl.off] = items[i].ti
 	}
 }
 

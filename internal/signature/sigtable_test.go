@@ -2,6 +2,7 @@ package signature
 
 import (
 	"context"
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -63,7 +64,7 @@ func TestSigTableMatchesMapIndex(t *testing.T) {
 	var tab sigTable
 	for iter := 0; iter < 500; iter++ {
 		chunks, pool := randomChunks(rng, 6)
-		tab.fill(context.Background(), len(chunks), func(c int) []sigItem { return chunks[c] })
+		tab.fill(context.Background(), slices.Concat(chunks...))
 		ref := mapIndex(chunks)
 		probes := append(slices.Clone(pool), rng.Uint64(), rng.Uint64()<<40, 1<<40)
 		for _, h := range probes {
@@ -104,10 +105,10 @@ func TestSigTableCanceledFill(t *testing.T) {
 		for polls := int64(0); ; polls++ {
 			// A stale index with other rows under the same hashes.
 			stale := [][]sigItem{{{h: pool[0], ti: 1 << 20}, {h: pool[len(pool)-1], ti: 1 << 21}}}
-			tab.fill(context.Background(), 1, func(int) []sigItem { return stale[0] })
+			tab.fill(context.Background(), stale[0])
 			ctx := &countdownCtx{Context: context.Background()}
 			ctx.n.Store(polls)
-			tab.fill(ctx, len(chunks), func(c int) []sigItem { return chunks[c] })
+			tab.fill(ctx, slices.Concat(chunks...))
 			complete := ctx.n.Load() >= 0
 			for _, h := range pool {
 				got := tab.bucket(h)
@@ -158,6 +159,92 @@ func TestSigTableCanceledBuild(t *testing.T) {
 					if int(mi) >= small.Rows() {
 						t.Fatalf("partial=%v: canceled build returned row %d of a %d-row relation", partial, mi, small.Rows())
 					}
+				}
+			}
+		}
+	}
+}
+
+// randomCoded draws a coded relation of the given size and arity whose
+// cells are nulls with probability nullPct/100 and otherwise constants from
+// a pool of three per attribute, so signatures repeat and buckets are long.
+func randomCoded(rng *rand.Rand, rows, arity, nullPct int) *model.CodedRelation {
+	in := model.NewInstance()
+	attrs := make([]string, arity)
+	for a := range attrs {
+		attrs[a] = fmt.Sprintf("a%d", a)
+	}
+	in.AddRelation("R", attrs...)
+	for ti := 0; ti < rows; ti++ {
+		row := make([]model.Value, arity)
+		for a := range row {
+			if rng.Intn(100) < nullPct {
+				row[a] = n(fmt.Sprintf("N%d_%d", ti, a))
+			} else {
+				row[a] = c(fmt.Sprintf("v%d", rng.Intn(3)))
+			}
+		}
+		in.Append("R", row...)
+	}
+	return model.NewInterner(0).Code(in.Relations()[0])
+}
+
+// TestBuildSigMapMatchesReference pins buildSigMap against a map-built
+// reference on random relations, in the default mode and in partial mode
+// with MinPartialSig 1-3: the pattern list is the distinct eligible masks
+// (each row's ground mask; in partial mode every sub-mask of it with at
+// least MinPartialSig attributes), largest first, ties by value, and
+// bucket(sigHash(row, m)) lists, in row order, every row indexed under the
+// same hash. One runner per mode is reused across builds of different
+// sizes, as a run reuses it across passes.
+func TestBuildSigMapMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, opt := range []Options{{}, {Partial: true, MinPartialSig: 1}, {Partial: true, MinPartialSig: 2}, {Partial: true, MinPartialSig: 3}} {
+		s := &runner{ctx: context.Background(), opt: opt, workers: 2}
+		for iter := 0; iter < 24; iter++ {
+			rows := rng.Intn(40)
+			if iter%4 == 0 {
+				rows = 1000 + rng.Intn(1600)
+			}
+			crel := randomCoded(rng, rows, 1+rng.Intn(10), []int{0, 10, 50, 90}[rng.Intn(4)])
+			ref := map[uint64][]int32{}
+			want := map[uint64]bool{}
+			for ti := 0; ti < rows; ti++ {
+				ground := crel.Masks[ti]
+				for sub := ground; ; sub = (sub - 1) & ground {
+					if !opt.Partial || bits.OnesCount64(sub) >= opt.MinPartialSig {
+						want[sub] = true
+						h := sigHash(crel.Row(ti), sub)
+						ref[h] = append(ref[h], int32(ti))
+					}
+					if !opt.Partial || sub == 0 {
+						break
+					}
+				}
+			}
+			sigs, patterns := s.buildSigMap(crel)
+			if len(patterns) != len(want) {
+				t.Fatalf("%+v iter %d: %d patterns %x, want %d distinct eligible masks", opt, iter, len(patterns), patterns, len(want))
+			}
+			for i, m := range patterns {
+				if !want[m] {
+					t.Fatalf("%+v iter %d: pattern %#x is no row's eligible mask", opt, iter, m)
+				}
+				if i > 0 {
+					p := patterns[i-1]
+					if pc, mc := bits.OnesCount64(p), bits.OnesCount64(m); pc < mc || pc == mc && p >= m {
+						t.Fatalf("%+v iter %d: patterns %#x, %#x out of order", opt, iter, p, m)
+					}
+				}
+			}
+			for h, want := range ref {
+				if got := sigs.bucket(h); !slices.Equal(got, want) {
+					t.Fatalf("%+v iter %d: bucket(%#x) = %v, want %v", opt, iter, h, got, want)
+				}
+			}
+			for i := 0; i < 8; i++ {
+				if h := rng.Uint64(); ref[h] == nil && sigs.bucket(h) != nil {
+					t.Fatalf("%+v iter %d: bucket(%#x) = %v for an unindexed hash", opt, iter, h, sigs.bucket(h))
 				}
 			}
 		}
@@ -259,7 +346,7 @@ func TestSigTableFilter(t *testing.T) {
 				hs = append(hs, h)
 			}
 		}
-		tab.fill(context.Background(), 1, func(int) []sigItem { return items })
+		tab.fill(context.Background(), items)
 		if fb := 64 * len(tab.filter); fb&(fb-1) != 0 || fb < 16*n || (fb > 64 && fb >= 32*n) {
 			t.Fatalf("iter %d: %d filter bits for %d items", iter, fb, n)
 		}

@@ -1,96 +1,6 @@
 package instcmp
 
-import (
-	"instcmp/internal/match"
-	"instcmp/internal/model"
-)
-
-// Normalize prepares two instances for comparison without touching the
-// originals: it clones both, optionally aligns their schemas (missing
-// relations become empty, missing attributes are padded with fresh distinct
-// nulls per row, Sec. 4), renames the right instance's nulls if the null
-// namespaces overlap, and renumbers the right instance's tuples if the
-// identifier spaces overlap. Tuple order within each relation is preserved,
-// so positions in the normalized copies address the same tuples as in the
-// originals.
-func Normalize(left, right *Instance, align bool) (*Instance, *Instance, error) {
-	l, r, _, err := normalize(left, right, align)
-	return l, r, err
-}
-
-// normalize additionally returns the prefix prepended to the right
-// instance's null names ("" when no renaming was needed), so results can be
-// reported in terms of the caller's original nulls.
-func normalize(left, right *Instance, align bool) (*Instance, *Instance, string, error) {
-	l, r := left.Clone(), right.Clone()
-	if align {
-		l, r = alignSchemas(l, r)
-	}
-	if !model.SameSchema(l, r) {
-		return nil, nil, "", match.ErrSchemaMismatch
-	}
-	prefix := ""
-	if varsOverlap(l, r) {
-		r, prefix = renameApart(l, r)
-	}
-	if idsOverlap(l, r) {
-		r = r.ReassignIDs(maxID(l) + 1)
-	}
-	return l, r, prefix, nil
-}
-
-func varsOverlap(l, r *Instance) bool {
-	lv := l.Vars()
-	for v := range r.Vars() {
-		if lv[v] {
-			return true
-		}
-	}
-	return false
-}
-
-// renameApart renames the right instance's nulls with a prefix that makes
-// them disjoint from the left instance's, growing the prefix until no
-// collision remains. It returns the renamed instance and the prefix used.
-func renameApart(l, r *Instance) (*Instance, string) {
-	prefix := "r·"
-	for {
-		ren := r.RenameNulls(prefix)
-		if !varsOverlap(l, ren) {
-			return ren, prefix
-		}
-		prefix += "·"
-	}
-}
-
-func idsOverlap(l, r *Instance) bool {
-	seen := map[TupleID]bool{}
-	for _, rel := range l.Relations() {
-		for _, t := range rel.Tuples {
-			seen[t.ID] = true
-		}
-	}
-	for _, rel := range r.Relations() {
-		for _, t := range rel.Tuples {
-			if seen[t.ID] {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func maxID(in *Instance) TupleID {
-	var mx TupleID
-	for _, rel := range in.Relations() {
-		for _, t := range rel.Tuples {
-			if t.ID > mx {
-				mx = t.ID
-			}
-		}
-	}
-	return mx
-}
+import "instcmp/internal/model"
 
 // alignSchemas rebuilds both instances over the union schema: relations in
 // left-then-right order, attributes per relation in left-then-right order.
