@@ -117,7 +117,12 @@ func BenchmarkTable2Exact(b *testing.B) {
 // is the same canonical DFS from an empty incumbent, stopped by a budget of
 // 10⁵ nodes: the search is deterministic, so every iteration walks the
 // same nodes, and the variant asserts that the budget, not certification,
-// ended it. Both variants report their node count.
+// ended it.
+//
+// The onetoone variant is a left-injective search as pairs-small runs
+// them: Doct 500 rows with Table-2 noise (seed 101) in the 1-to-1 mode,
+// which the walk certifies cold in 900 nodes. All three variants report
+// their node count.
 //
 // The cold/rows=N variants are searches that do certify without the warm
 // start, after 10⁴–10⁵ nodes: Doct n-to-m with the paper's Table-3 noise
@@ -131,19 +136,29 @@ func BenchmarkExactSearch(b *testing.B) {
 	sc := generator.Make(base, generator.Noise{
 		CellPct: 0.05, RandomPct: 0.1, RedundantPct: 0.1, Seed: benchSeed,
 	})
+	doct500, err := datasets.Generate(datasets.Doct, 500, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	table2 := experiments.Table2Noise
+	table2.Seed = 101
+	oneToOne := generator.Make(doct500, table2)
 	for _, v := range []struct {
 		name    string
+		sc      *generator.Scenario
+		mode    match.Mode
 		opt     exact.Options
 		stopped string // "" asserts an exhaustive search
 	}{
-		{"warm", exact.Options{Lambda: 0.5, Timeout: 2 * time.Minute}, ""},
-		{"nowarm", exact.Options{Lambda: 0.5, NoWarmStart: true, MaxNodes: 100000}, exact.StoppedNodeBudget},
+		{"warm", sc, match.ManyToMany, exact.Options{Lambda: 0.5, Timeout: 2 * time.Minute}, ""},
+		{"nowarm", sc, match.ManyToMany, exact.Options{Lambda: 0.5, NoWarmStart: true, MaxNodes: 100000}, exact.StoppedNodeBudget},
+		{"onetoone", oneToOne, match.OneToOne, exact.Options{Lambda: 0.5, MaxNodes: 5000}, ""},
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var nodes int64
 			for i := 0; i < b.N; i++ {
-				res, err := exact.Run(context.Background(), sc.Source, sc.Target, match.ManyToMany, v.opt)
+				res, err := exact.Run(context.Background(), v.sc.Source, v.sc.Target, v.mode, v.opt)
 				if err != nil {
 					b.Fatal(err)
 				}

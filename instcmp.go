@@ -225,8 +225,11 @@ type ComparisonStats struct {
 	Prunes int64
 	// Improvements counts incumbent improvements found by the search.
 	Improvements int64
-	// WarmScore is the incumbent the exact search started from (-1 when
-	// not warm-started or for signature runs).
+	// WarmScore is the score of the exact search's signature warm start:
+	// the incumbent an n-to-m search started from, or the fallback match
+	// of a stopped 1-to-1 or functional search. It is -1 when the warm
+	// start did not run (among others, for an exhaustive 1-to-1 or
+	// functional search) and for signature runs.
 	WarmScore float64
 
 	// Signature phase breakdown: the signature algorithm's own run, or

@@ -14,13 +14,21 @@
 // carries a node/time budget; results indicate whether the search space
 // was exhausted.
 //
-// One engine-level acceleration sits on top of the plain DFS without
-// changing the returned score (see DESIGN.md §9 for the argument): a warm
-// start. The signature algorithm (Sec. 6.2) runs first on the same
-// environment and its match — re-inserted in the search's canonical order
-// so its score is bit-identical to the corresponding leaf's — seeds the
-// incumbent, so the suffix bounds prune from node 1 instead of only after
-// the first full descent.
+// The signature algorithm (Sec. 6.2) serves as a warm start that never
+// changes the returned score (see DESIGN.md §9 for the argument): its match
+// is re-inserted in the search's canonical order, so its score is
+// bit-identical to the corresponding leaf's. Where it runs depends on the
+// level layout. In the general mode the DFS's first descent includes every
+// compatible pair, the worst possible incumbent, so the warm start runs
+// first and seeds the incumbent, and the suffix bounds prune from node 1.
+// In the left-injective modes the first descent is already an
+// affinity-greedy injective match, and measured searches visit the same
+// nodes warm and cold, so the walk starts cold; the warm start only runs
+// as the fallback of a search that stopped, and the result is the better
+// of the best leaf and the signature match.
+//
+// Leaves are scored into one reusable score.Scratch, so the walk does not
+// allocate per node.
 //
 // The search runs on the comparison's integer-coded rows: candidate
 // generation probes compat.CodedIndex, the static per-pair bounds read
@@ -43,7 +51,8 @@ import (
 )
 
 // Result.Stopped reasons. A stopped search still returns the best incumbent
-// found so far (at minimum the warm start's match, when enabled).
+// found so far (at minimum the warm start's match, when enabled and the
+// context was not canceled before it ran).
 const (
 	// StoppedTimeout: the Options.Timeout deadline passed.
 	StoppedTimeout = "timeout"
@@ -88,16 +97,20 @@ type Options struct {
 	// exact: the search counts every node and stops at the first node past
 	// the bound.
 	MaxNodes int64
-	// Timeout bounds wall-clock time (0 = no bound). The warm-start
-	// signature run is polynomial and not counted against it.
+	// Timeout bounds the walk's wall-clock time (0 = no bound). The
+	// warm-start signature run is polynomial and not counted against it:
+	// in the left-injective modes it runs after a tripped deadline, as
+	// the stopped search's fallback.
 	Timeout time.Duration
 	// SigWorkers is the warm-start signature run's pipeline worker count,
 	// passed on as signature.Options.Workers (0 = GOMAXPROCS, 1 = inline).
 	// Like the warm start itself, it never changes the returned score.
 	SigWorkers int
-	// NoWarmStart disables seeding the incumbent with the signature
-	// algorithm's match (ablation switch; the warm start never changes
-	// the returned score, only how fast the search converges).
+	// NoWarmStart disables the signature warm start in every mode: the
+	// general mode's seed and the left-injective modes' fallback
+	// (ablation switch; the warm start never changes an exhaustive
+	// search's score, only how fast the search converges, and a stopped
+	// search without it may return a worse match).
 	NoWarmStart bool
 }
 
@@ -120,20 +133,23 @@ type Result struct {
 	// Improvements counts the leaves that raised the incumbent (the warm
 	// start's seed is not counted).
 	Improvements int64
-	// WarmScore is the warm-start incumbent the search began from, -1
-	// when the warm start was disabled or not applicable. Warm-started
-	// budget-capped runs therefore never report less than WarmScore.
+	// WarmScore is the score of the warm start's match: the seed of a
+	// general-mode search, or the fallback of a stopped left-injective
+	// search. It is -1 when the warm start did not run (disabled, an
+	// exhaustive left-injective search, a context canceled before the
+	// walk) or its match fell outside the candidate list. A stopped run
+	// never reports less than WarmScore.
 	WarmScore float64
 	// SigStats is the warm-start signature run's phase breakdown, nil
-	// when the warm start was disabled or not applicable.
+	// exactly when WarmScore is -1.
 	SigStats *signature.Stats
 	// Stopped reports why a non-exhaustive search stopped: one of
 	// StoppedTimeout, StoppedNodeBudget, StoppedCanceled. Empty when
 	// Exhaustive.
 	Stopped string
 	// EnvStats holds the environment's pair-attempt counters over the
-	// whole run: warm start, search and the final re-apply of the best
-	// match.
+	// whole run: warm start (when it ran), search and the final re-apply
+	// of the best match.
 	EnvStats match.EnvStats
 }
 
@@ -142,7 +158,8 @@ type Result struct {
 // Cancellation is polled in the node loop alongside the deadline, every
 // pollInterval nodes, so a canceled search returns promptly with the best
 // incumbent found so far and Result.Stopped = StoppedCanceled. The context
-// also bounds the warm-start signature run.
+// also bounds the warm-start signature run, so a left-injective search's
+// fallback after a cancel returns promptly too.
 func Run(ctx context.Context, left, right *model.Instance, mode match.Mode, opt Options) (*Result, error) {
 	env, err := match.NewEnv(left, right, mode)
 	if err != nil {
@@ -160,7 +177,7 @@ func RunEnv(ctx context.Context, env *match.Env, opt Options) (*Result, error) {
 		return nil, fmt.Errorf("exact: RunEnv requires an empty tuple mapping, got %d pairs", env.NumPairs())
 	}
 	p := newProblem(ctx, env, opt.Lambda)
-	s := &searcher{p: p, env: env, ctx: ctx, maxN: opt.MaxNodes, best: -1}
+	s := &searcher{p: p, env: env, ctx: ctx, maxN: opt.MaxNodes, best: -1, params: score.Params{Lambda: opt.Lambda}}
 	if opt.Timeout > 0 {
 		//instlint:allow nondet -- wall-clock deadline only triggers anytime degradation (Stopped=timeout with the best-so-far score); it never feeds a score
 		s.deadline = time.Now().Add(opt.Timeout)
@@ -168,26 +185,40 @@ func RunEnv(ctx context.Context, env *match.Env, opt Options) (*Result, error) {
 
 	warmScore := -1.0
 	var sigStats *signature.Stats
-	// The ctx.Err() guard also protects canonicalize: a canceled
-	// newProblem returns a truncated candidate structure that must not be
-	// indexed by a warm-start match.
-	if !opt.NoWarmStart && ctx.Err() == nil {
+	warm := func() {
 		if wp, ws, st, ok := warmStart(ctx, env, p, opt.SigWorkers); ok {
-			s.best, s.bestPairs, warmScore, sigStats = ws, wp, ws, st
+			warmScore, sigStats = ws, st
+			if ws > s.best {
+				s.best, s.bestPairs = ws, wp
+			}
 		}
 	}
-	// A context canceled before (or during) the warm start skips the
-	// search entirely; the result is the incumbent found so far.
+	// Every ctx.Err() guard below also protects canonicalize: a canceled
+	// newProblem returns a truncated candidate structure that must not be
+	// indexed by a warm-start match. A context canceled before (or during)
+	// the general mode's warm start skips the search entirely.
+	leftInj := env.Mode.LeftInjective
+	if !opt.NoWarmStart && !leftInj && ctx.Err() == nil {
+		warm()
+	}
 	if ctx.Err() != nil {
 		s.reason = stopCanceled
 	} else {
 		s.walk(0)
+		// A left-injective walk that stopped falls back on the signature
+		// match, which a short budget may not have reached.
+		if !opt.NoWarmStart && leftInj && s.reason != stopNone {
+			warm()
+		}
 	}
 
-	// Re-apply the best mapping so the returned Env reflects it.
+	// Re-apply the best mapping so the returned Env reflects it. Replay
+	// inserts the pairs in the order they were scored, so s.best is
+	// already the score of the replayed match.
 	env.Undo(match.Mark{})
 	res := &Result{
 		Env:          env,
+		Score:        s.best,
 		Exhaustive:   s.reason == stopNone,
 		Nodes:        s.nodes,
 		Prunes:       s.prunes,
@@ -199,8 +230,12 @@ func RunEnv(ctx context.Context, env *match.Env, opt Options) (*Result, error) {
 	if !env.Replay(s.bestPairs) {
 		panic("exact: best mapping no longer applies")
 	}
+	if s.best < 0 {
+		// Stopped before the first leaf with no warm match: the empty
+		// mapping.
+		res.Score = score.Match(env, opt.Lambda)
+	}
 	res.Pairs = env.Pairs()
-	res.Score = score.Match(env, opt.Lambda)
 	res.EnvStats = env.Stats
 	publishRun(res)
 	return res, nil
@@ -273,6 +308,9 @@ type searcher struct {
 	// warm start's match before any leaf beats it.
 	best      float64
 	bestPairs []match.Pair
+	// params and scratch score the leaves without allocating.
+	params  score.Params
+	scratch score.Scratch
 }
 
 // pollInterval is how many nodes the search visits between deadline and
@@ -308,16 +346,10 @@ func (s *searcher) budgetExceeded() bool {
 
 // evaluate scores the current mapping and records it if it is the best.
 func (s *searcher) evaluate() {
-	var sc float64
-	if s.p.denom == 0 {
-		sc = 1
-	} else {
-		sc = score.Match(s.env, s.p.lambda)
-	}
-	if sc > s.best {
+	if sc := score.MatchS(s.env, s.params, &s.scratch); sc > s.best {
 		s.best = sc
 		s.improved++
-		s.bestPairs = append([]match.Pair(nil), s.env.Pairs()...)
+		s.bestPairs = append(s.bestPairs[:0], s.env.Pairs()...)
 	}
 }
 
@@ -501,11 +533,7 @@ func warmStart(ctx context.Context, env *match.Env, p *problem, sigWorkers int) 
 		// rather than seed an incumbent no leaf reproduces.
 		return nil, 0, nil, false
 	}
-	if p.denom == 0 {
-		sc = 1
-	} else {
-		sc = score.Match(env, p.lambda)
-	}
+	sc = score.Match(env, p.lambda)
 	pairs = append([]match.Pair(nil), env.Pairs()...)
 	env.Undo(m)
 	stats := sig.Stats

@@ -135,10 +135,8 @@ func TestDisjointGroundZero(t *testing.T) {
 	}
 }
 
-// TestExample31 reproduces Ex. 3.1/Fig. 6: the optimal match maps t1->t4 and
-// t2->t5 with score (12+4λ)/24, in particular it must not settle for the
-// inferior N4->1975 alternative.
-func TestExample31(t *testing.T) {
+// example31 builds the two instances of Ex. 3.1/Fig. 6.
+func example31() (*model.Instance, *model.Instance) {
 	l := model.NewInstance()
 	l.AddRelation("Conf", "Id", "Name", "Year", "Org")
 	l.Append("Conf", n("N1"), c("VLDB"), c("1975"), c("VLDB End."))
@@ -149,7 +147,14 @@ func TestExample31(t *testing.T) {
 	r.Append("Conf", n("Va"), c("VLDB"), c("1975"), c("VLDB End."))
 	r.Append("Conf", n("Vb"), c("VLDB"), c("1976"), n("Vc"))
 	r.Append("Conf", c("3"), c("ICDE"), c("1984"), c("IEEE"))
+	return l, r
+}
 
+// TestExample31 reproduces Ex. 3.1/Fig. 6: the optimal match maps t1->t4 and
+// t2->t5 with score (12+4λ)/24, in particular it must not settle for the
+// inferior N4->1975 alternative.
+func TestExample31(t *testing.T) {
+	l, r := example31()
 	res := run(t, l, r, match.OneToOne)
 	want := (12 + 4*lambda) / 24
 	if math.Abs(res.Score-want) > 1e-9 {

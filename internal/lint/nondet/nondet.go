@@ -19,8 +19,8 @@
 //  4. Goroutine results folded in channel-arrival order: ranging over a
 //     channel and appending (or float-accumulating) folds values in
 //     completion order, which the scheduler owns. Store results by task
-//     index and fold in task order instead (the produce/commit scheduler
-//     and the exact reduction are the in-tree exemplars).
+//     index and fold in task order instead (the signature pipeline's
+//     produce/commit scheduler, runBlocks, is the in-tree exemplar).
 package nondet
 
 import (

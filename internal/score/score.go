@@ -107,11 +107,29 @@ func Match(e *match.Env, lambda float64) float64 {
 
 // MatchP is Match with full scoring parameters.
 func MatchP(e *match.Env, params Params) float64 {
+	var s Scratch
+	return MatchS(e, params, &s)
+}
+
+// Scratch holds the per-tuple accumulators of a match score, so a caller
+// that scores many matches of one environment (the exact search scores
+// every leaf) allocates them once. The zero value is ready to use. Every
+// call leaves the accumulators zeroed again, resetting only the entries
+// it touched. A Scratch is not safe for concurrent use.
+type Scratch struct {
+	lsum, rsum     []float64
+	lcnt, rcnt     []int32
+	lorder, rorder []int32
+}
+
+// MatchS is MatchP accumulating in s. The fold order is MatchP's, so the
+// two return the same bits.
+func MatchS(e *match.Env, params Params, s *Scratch) float64 {
 	den := float64(e.Left.Size() + e.Right.Size())
 	if den == 0 {
 		return 1
 	}
-	l, r := tupleScores(e, params)
+	l, r := s.tupleScores(e, params)
 	return (l + r) / den
 }
 
@@ -122,31 +140,35 @@ func MatchP(e *match.Env, params Params) float64 {
 // endpoints' averages. Accumulation is indexed by flattened tuple position
 // and follows the tuple mapping's insertion order, so equal matches always
 // yield bit-identical scores (no map-iteration nondeterminism).
-func tupleScores(e *match.Env, params Params) (left, right float64) {
-	lsum := make([]float64, e.NumLeftTuples())
-	rsum := make([]float64, e.NumRightTuples())
-	lcnt := make([]int32, e.NumLeftTuples())
-	rcnt := make([]int32, e.NumRightTuples())
-	var lorder, rorder []int32
+func (s *Scratch) tupleScores(e *match.Env, params Params) (left, right float64) {
+	if nl := e.NumLeftTuples(); len(s.lsum) < nl {
+		s.lsum, s.lcnt = make([]float64, nl), make([]int32, nl)
+	}
+	if nr := e.NumRightTuples(); len(s.rsum) < nr {
+		s.rsum, s.rcnt = make([]float64, nr), make([]int32, nr)
+	}
 	for _, p := range e.Pairs() {
-		s := PairScoreP(e, p, params)
+		ps := PairScoreP(e, p, params)
 		fl, fr := e.FlatL(p.L), e.FlatR(p.R)
-		if lcnt[fl] == 0 {
-			lorder = append(lorder, int32(fl))
+		if s.lcnt[fl] == 0 {
+			s.lorder = append(s.lorder, int32(fl))
 		}
-		lsum[fl] += s
-		lcnt[fl]++
-		if rcnt[fr] == 0 {
-			rorder = append(rorder, int32(fr))
+		s.lsum[fl] += ps
+		s.lcnt[fl]++
+		if s.rcnt[fr] == 0 {
+			s.rorder = append(s.rorder, int32(fr))
 		}
-		rsum[fr] += s
-		rcnt[fr]++
+		s.rsum[fr] += ps
+		s.rcnt[fr]++
 	}
-	for _, fl := range lorder {
-		left += lsum[fl] / float64(lcnt[fl])
+	for _, fl := range s.lorder {
+		left += s.lsum[fl] / float64(s.lcnt[fl])
+		s.lsum[fl], s.lcnt[fl] = 0, 0
 	}
-	for _, fr := range rorder {
-		right += rsum[fr] / float64(rcnt[fr])
+	for _, fr := range s.rorder {
+		right += s.rsum[fr] / float64(s.rcnt[fr])
+		s.rsum[fr], s.rcnt[fr] = 0, 0
 	}
+	s.lorder, s.rorder = s.lorder[:0], s.rorder[:0]
 	return left, right
 }

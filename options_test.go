@@ -84,9 +84,10 @@ func TestCompareRejectsInvalidOptions(t *testing.T) {
 }
 
 // TestExactWarmStartHonorsSigWorkers: the exact search's warm start is a
-// signature run, so Options.SigWorkers sets its pipeline width too. Doct 600
-// is above the pipeline's size gate, so two workers fan out and one runs
-// every phase inline, whatever GOMAXPROCS is.
+// signature run, so Options.SigWorkers sets its pipeline width too. The
+// n-to-m search runs it before the walk. Doct 600 is above the pipeline's
+// size gate, so two workers fan out and one runs every phase inline,
+// whatever GOMAXPROCS is.
 func TestExactWarmStartHonorsSigWorkers(t *testing.T) {
 	base, err := datasets.Generate(datasets.Doct, 600, 1)
 	if err != nil {
@@ -98,7 +99,7 @@ func TestExactWarmStartHonorsSigWorkers(t *testing.T) {
 		fansOut bool
 	}{{1, false}, {2, true}} {
 		res, err := Compare(sc.Source, sc.Target, &Options{
-			Mode: OneToOne, Algorithm: AlgoExact, SigWorkers: tc.workers, ExactMaxNodes: 5000,
+			Mode: ManyToMany, Algorithm: AlgoExact, SigWorkers: tc.workers, ExactMaxNodes: 5000,
 		})
 		if err != nil {
 			t.Fatal(err)
