@@ -12,6 +12,8 @@ package lake
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"instcmp"
@@ -121,24 +123,39 @@ func RankThroughIndex(names []string, idx lakeindex.Searcher, query func() (*lak
 	}
 	st.SketchBuild = time.Since(start)
 
-	inLake := make(map[string]bool, len(names))
-	for _, name := range names {
-		inLake[name] = true
-	}
 	// The index may cover names outside this lake (a registry indexes every
 	// registered instance, including the example itself; a persisted index
 	// still lists deleted datasets), and those hits would silently shrink
 	// the shortlist below target. Re-probe with a doubled target until
 	// target lake members are retrieved or the index is exhausted (a probe
 	// returning fewer hits than asked for has seen everything).
-	var hits []lakeindex.Hit
+	//
+	// Lake membership is only ever asked of the hits, so each probe indexes
+	// its hits by name and looks every lake name up once: at[i] is the
+	// position of names[i] among the hits, or -1, and member marks the hits
+	// the lake holds. No lake-sized map is built.
+	at := make([]int32, len(names))
+	var member []bool
 	var ps lakeindex.ProbeStats
 	//instlint:allow ctxpoll -- at most log(index size) probes, each a bounded sketch scan costing microseconds; the comparisons that follow poll ctx
 	for probeTarget := target; ; probeTarget *= 2 {
+		var hits []lakeindex.Hit
 		hits, ps = idx.Shortlist(q, probeTarget)
+		hitAt := make(map[string]int32, len(hits))
+		for k, h := range hits {
+			hitAt[h.Name] = int32(k)
+		}
+		member = make([]bool, len(hits))
 		members := 0
-		for _, h := range hits {
-			if inLake[h.Name] {
+		for i, name := range names {
+			k, ok := hitAt[name]
+			if !ok {
+				at[i] = -1
+				continue
+			}
+			at[i] = k
+			if !member[k] {
+				member[k] = true
 				members++
 			}
 		}
@@ -149,40 +166,44 @@ func RankThroughIndex(names []string, idx lakeindex.Searcher, query func() (*lak
 	st.Probed = ps.Probed
 	st.Widened = ps.Widened
 
-	// Shortlist the best target lake members, in hit (estimate) order.
-	shortlisted := make(map[string]bool, target)
-	for _, h := range hits {
-		if inLake[h.Name] {
-			shortlisted[h.Name] = true
-			if len(shortlisted) >= target {
-				break
+	// Shortlist the best target lake members, in hit (estimate) order:
+	// member keeps its mark on those and drops it on the members past
+	// target.
+	chosen := 0
+	for k, in := range member {
+		if in {
+			if chosen < target {
+				chosen++
+			} else {
+				member[k] = false
 			}
 		}
 	}
+	// One pass over the lake classifies every name. Only names the probe
+	// did not return can be unindexed, so only they cost a Contains.
 	short := make([]int, 0, target)
-	rest := make([]Result, 0, len(names)-len(shortlisted))
+	pruned := make([]int32, 0, len(names)-chosen)
 	for i, name := range names {
-		switch {
-		case shortlisted[name]:
+		switch k := at[i]; {
+		case k >= 0 && member[k]:
 			short = append(short, i)
-		case !idx.Contains(name):
+		case k < 0 && !idx.Contains(name):
 			// The index has never seen this candidate (it was added after
 			// the index was built): shortlist it unconditionally rather
 			// than dropping it on evidence the index does not have.
 			st.Unindexed++
 			short = append(short, i)
 		default:
-			rest = append(rest, Result{Name: name, Pruned: true})
+			pruned = append(pruned, int32(i))
 		}
 	}
 	st.ShortlistSize = len(short)
 
-	out, err := rank(short)
+	ranked, err := rank(short)
 	if err != nil {
 		return nil, st, err
 	}
-	out = append(out, rest...)
-	sortResults(out)
+	out := mergePruned(ranked, names, pruned)
 
 	vars.Add("index_probes", 1)
 	vars.Add("index_probed_candidates", int64(st.Probed))
@@ -192,6 +213,32 @@ func RankThroughIndex(names []string, idx lakeindex.Searcher, query func() (*lak
 	}
 	vars.Add("sketch_build_ns", int64(st.SketchBuild))
 	return out, st, nil
+}
+
+// mergePruned returns the compared results and the index-pruned names in
+// the shared ranking order, in one allocation. The index-pruned results are
+// alike but for their names (degraded, score and overlap 0), so putting
+// them in name order sorts them; merging them into the sorted compared
+// results, a compared result first on ties, gives exactly the order a
+// stable sort of compared ++ pruned would.
+func mergePruned(ranked []Result, names []string, pruned []int32) []Result {
+	sortResults(ranked)
+	byName := func(a, b int32) int { return strings.Compare(names[a], names[b]) }
+	if !slices.IsSortedFunc(pruned, byName) {
+		slices.SortStableFunc(pruned, byName)
+	}
+	out := make([]Result, 0, len(ranked)+len(pruned))
+	for len(pruned) > 0 {
+		r := Result{Name: names[pruned[0]], Pruned: true}
+		if len(ranked) > 0 && !resultLess(&r, &ranked[0]) {
+			out = append(out, ranked[0])
+			ranked = ranked[1:]
+		} else {
+			out = append(out, r)
+			pruned = pruned[1:]
+		}
+	}
+	return append(out, ranked...)
 }
 
 // BuildIndex sketches every candidate of a prepared lake and builds the

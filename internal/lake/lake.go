@@ -379,19 +379,22 @@ func rankSources(ctx context.Context, example *instcmp.Prepared, lake []candidat
 // sequential fold, which the indexed path (which reorders its input around
 // the shortlist) would have broken.
 func sortResults(out []Result) {
-	degraded := func(r Result) bool { return r.Pruned || r.TimedOut }
-	sort.SliceStable(out, func(i, j int) bool {
-		if degraded(out[i]) != degraded(out[j]) {
-			return !degraded(out[i])
-		}
-		// Bit-level inequality: the ranking must not merge scores the
-		// golden tests distinguish (floatscore bans raw float !=).
-		if !score.SameScore(out[i].Score, out[j].Score) {
-			return out[i].Score > out[j].Score
-		}
-		if !score.SameScore(out[i].Overlap, out[j].Overlap) {
-			return out[i].Overlap > out[j].Overlap
-		}
-		return out[i].Name < out[j].Name
-	})
+	sort.SliceStable(out, func(i, j int) bool { return resultLess(&out[i], &out[j]) })
+}
+
+// resultLess is the ranking comparator sortResults and the indexed path's
+// merge share.
+func resultLess(a, b *Result) bool {
+	if da, db := a.Pruned || a.TimedOut, b.Pruned || b.TimedOut; da != db {
+		return !da
+	}
+	// Bit-level inequality: the ranking must not merge scores the golden
+	// tests distinguish (floatscore bans raw float !=).
+	if !score.SameScore(a.Score, b.Score) {
+		return a.Score > b.Score
+	}
+	if !score.SameScore(a.Overlap, b.Overlap) {
+		return a.Overlap > b.Overlap
+	}
+	return a.Name < b.Name
 }

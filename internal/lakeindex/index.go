@@ -1,8 +1,11 @@
 package lakeindex
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // Entry is one indexed candidate: its name, sketch, and the size of the
@@ -161,8 +164,15 @@ func (ix *Index) Shortlist(q *Sketch, target int) ([]Hit, ProbeStats) {
 // positional layout (entries plus a band bucket → positions inverted index):
 // probe the banded buckets, widen to a full sketch scan if banding
 // under-delivers, rank by estimate, truncate. Candidate order inside the
-// probe never reaches the output: sortHits is a total order over distinct
-// names.
+// probe never reaches the output: compareHits is a total order over
+// distinct names.
+//
+// Ranking selects before it sorts. An estimate is eq/K for an integer
+// agreement count eq in [0, K], so a histogram of the counts gives the
+// cut-off count of the target-th hit in one pass; only the hits at or above
+// it (ties included) are materialized and sorted. Every hit below the
+// cut-off ranks behind at least target others, so the truncated survivors
+// are exactly the prefix a full sort would keep.
 func shortlist(q *Sketch, target int, entries []Entry, buckets map[uint64][]int32) ([]Hit, ProbeStats) {
 	if target <= 0 || target > len(entries) {
 		target = len(entries)
@@ -190,25 +200,38 @@ func shortlist(q *Sketch, target int, entries []Entry, buckets map[uint64][]int3
 			cands = append(cands, int32(i))
 		}
 	}
-	hits := make([]Hit, 0, len(cands))
-	for _, i := range cands {
-		e := &entries[i]
-		hits = append(hits, Hit{Name: e.Name, Estimate: q.Estimate(e.Sketch)})
+	// len(cands) >= target here, so the cut-off scan below stops at a
+	// count whose hits number at least target.
+	eqs := make([]uint8, len(cands))
+	var hist [K + 1]int
+	for k, i := range cands {
+		eq := q.agree(entries[i].Sketch)
+		eqs[k] = uint8(eq)
+		hist[eq]++
 	}
-	sortHits(hits)
+	cut, kept := K, hist[K]
+	for kept < target && cut > 0 {
+		cut--
+		kept += hist[cut]
+	}
+	hits := make([]Hit, 0, kept)
+	for k, i := range cands {
+		if int(eqs[k]) >= cut {
+			hits = append(hits, Hit{Name: entries[i].Name, Estimate: float64(eqs[k]) / K})
+		}
+	}
+	slices.SortFunc(hits, compareHits)
 	if len(hits) > target {
 		hits = hits[:target]
 	}
 	return hits, st
 }
 
-// sortHits orders hits by estimate descending, name ascending — the total
-// deterministic order every retrieval path shares.
-func sortHits(hits []Hit) {
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Estimate != hits[j].Estimate {
-			return hits[i].Estimate > hits[j].Estimate
-		}
-		return hits[i].Name < hits[j].Name
-	})
+// compareHits orders hits by estimate descending, name ascending — the
+// total deterministic order every retrieval path shares.
+func compareHits(a, b Hit) int {
+	if c := cmp.Compare(b.Estimate, a.Estimate); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Name, b.Name)
 }

@@ -91,13 +91,20 @@ func NewSketch(features []uint64) *Sketch {
 // Estimate returns the MinHash estimate of the Jaccard similarity between
 // the two sketched feature sets: the fraction of agreeing components.
 func (s *Sketch) Estimate(t *Sketch) float64 {
-	eq := 0
+	return float64(s.agree(t)) / K
+}
+
+// agree counts the components on which the two sketches agree (0..K), the
+// integer numerator of Estimate. The count is branch-free: x | -x has its
+// top bit set exactly when x != 0, so a mid-overlap pair's coin-flip
+// component comparisons cost no mispredictions.
+func (s *Sketch) agree(t *Sketch) int {
+	differ := uint64(0)
 	for i := range s.vals {
-		if s.vals[i] == t.vals[i] {
-			eq++
-		}
+		x := s.vals[i] ^ t.vals[i]
+		differ += (x | -x) >> 63
 	}
-	return float64(eq) / K
+	return K - int(differ)
 }
 
 // BandKeys returns the sketch's Bands bucket keys: band b hashes components

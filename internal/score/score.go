@@ -105,9 +105,19 @@ func Match(e *match.Env, lambda float64) float64 {
 	return MatchP(e, Params{Lambda: lambda})
 }
 
-// MatchP is Match with full scoring parameters.
+// MatchP is Match with full scoring parameters. Its fresh Scratch is sized
+// once from the tuple counts, in two allocations: the sums share one
+// float64 block, the counts and the first-touch orders (at most one entry
+// per tuple each) one int32 block, so accumulation never grows a slice.
 func MatchP(e *match.Env, params Params) float64 {
-	var s Scratch
+	nl, nr := e.NumLeftTuples(), e.NumRightTuples()
+	n := nl + nr
+	sums, ints := make([]float64, n), make([]int32, 2*n)
+	s := Scratch{
+		lsum: sums[:nl:nl], rsum: sums[nl:],
+		lcnt: ints[:nl:nl], rcnt: ints[nl:n:n],
+		lorder: ints[n : n : n+nl], rorder: ints[n+nl : n+nl],
+	}
 	return MatchS(e, params, &s)
 }
 

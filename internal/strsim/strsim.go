@@ -13,17 +13,45 @@ type Func func(a, b string) float64
 
 // Levenshtein returns 1 - editDistance(a, b) / max(len(a), len(b)), the
 // normalized edit-distance similarity (distance counted in runes).
+//
+// It is the constant similarity of fuzzy partial matches, called for every
+// differing constant pair a match scores, so strings of up to stackRunes
+// runes — nearly every cell value — decode and run their DP rows in stack
+// buffers and allocate nothing. Longer strings take the same DP on the
+// heap.
 func Levenshtein(a, b string) float64 {
 	if a == b {
 		return 1
 	}
-	ra, rb := []rune(a), []rune(b)
-	la, lb := len(ra), len(rb)
+	la, lb := utf8.RuneCountInString(a), utf8.RuneCountInString(b)
 	if la == 0 || lb == 0 {
 		return 0
 	}
-	prev := make([]int, lb+1)
-	cur := make([]int, lb+1)
+	if la <= stackRunes && lb <= stackRunes {
+		var ra, rb [stackRunes]rune
+		var prev, cur [stackRunes + 1]int
+		return levenshtein(appendRunes(ra[:0], a), appendRunes(rb[:0], b), prev[:], cur[:])
+	}
+	return levenshtein([]rune(a), []rune(b), make([]int, lb+1), make([]int, lb+1))
+}
+
+// stackRunes is the longest string, in runes, Levenshtein scores in stack
+// buffers.
+const stackRunes = 64
+
+// appendRunes appends the runes of s to buf, decoding exactly as []rune(s)
+// does: each byte of invalid UTF-8 yields one U+FFFD.
+func appendRunes(buf []rune, s string) []rune {
+	for _, r := range s {
+		buf = append(buf, r)
+	}
+	return buf
+}
+
+// levenshtein runs the two-row edit-distance DP of ra against rb; prev and
+// cur hold at least len(rb)+1 entries each.
+func levenshtein(ra, rb []rune, prev, cur []int) float64 {
+	la, lb := len(ra), len(rb)
 	for j := 0; j <= lb; j++ {
 		prev[j] = j
 	}
@@ -38,11 +66,7 @@ func Levenshtein(a, b string) float64 {
 		}
 		prev, cur = cur, prev
 	}
-	maxLen := la
-	if lb > maxLen {
-		maxLen = lb
-	}
-	return 1 - float64(prev[lb])/float64(maxLen)
+	return 1 - float64(prev[lb])/float64(max(la, lb))
 }
 
 func min3(a, b, c int) int {

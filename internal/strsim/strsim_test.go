@@ -2,8 +2,11 @@ package strsim
 
 import (
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unicode/utf8"
 )
 
 var metrics = map[string]Func{
@@ -112,5 +115,80 @@ func TestUnicodeHandling(t *testing.T) {
 	}
 	if Jaro("héllo", "héllo") != 1 {
 		t.Error("unicode Jaro identity broken")
+	}
+}
+
+// referenceLevenshtein is the heap-allocating Levenshtein the stack-buffer
+// version must reproduce bit for bit.
+func referenceLevenshtein(a, b string) float64 {
+	if a == b {
+		return 1
+	}
+	ra, rb := []rune(a), []rune(b)
+	la, lb := len(ra), len(rb)
+	if la == 0 || lb == 0 {
+		return 0
+	}
+	prev := make([]int, lb+1)
+	cur := make([]int, lb+1)
+	for j := 0; j <= lb; j++ {
+		prev[j] = j
+	}
+	for i := 1; i <= la; i++ {
+		cur[0] = i
+		for j := 1; j <= lb; j++ {
+			cost := 1
+			if ra[i-1] == rb[j-1] {
+				cost = 0
+			}
+			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
+		}
+		prev, cur = cur, prev
+	}
+	return 1 - float64(prev[lb])/float64(max(la, lb))
+}
+
+// randomString draws n runes from a small alphabet of ASCII letters,
+// multibyte runes and invalid UTF-8 bytes (each of which decodes to one
+// U+FFFD), so random pairs share runes and the DP takes every branch.
+func randomString(rng *rand.Rand, n int) string {
+	pieces := []string{"a", "b", "c", "é", "ß", "東", "🙂", "\xff", "\xc3", "\xfe"}
+	var sb strings.Builder
+	for i := 0; i < n; i++ {
+		sb.WriteString(pieces[rng.Intn(len(pieces))])
+	}
+	return sb.String()
+}
+
+func TestLevenshteinMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	for trial := 0; trial < 4000; trial++ {
+		a := randomString(rng, rng.Intn(81))
+		var b string
+		switch trial % 3 {
+		case 0:
+			b = randomString(rng, rng.Intn(81))
+		case 1:
+			// A near-copy: a with a few runes rewritten.
+			rs := []rune(a)
+			for k := rng.Intn(4); k > 0 && len(rs) > 0; k-- {
+				rs[rng.Intn(len(rs))] = 'z'
+			}
+			b = string(rs)
+		case 2:
+			b = a + randomString(rng, rng.Intn(3))
+		}
+		have, want := Levenshtein(a, b), referenceLevenshtein(a, b)
+		if math.Float64bits(have) != math.Float64bits(want) {
+			t.Fatalf("Levenshtein(%q, %q) = %v, want %v", a, b, have, want)
+		}
+	}
+	// Both strings at the stack limit allocate nothing.
+	a, b := randomString(rng, stackRunes), randomString(rng, stackRunes)
+	if n := utf8.RuneCountInString(a); n != stackRunes {
+		t.Fatalf("a has %d runes", n)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { Levenshtein(a, b) }); allocs != 0 {
+		t.Errorf("Levenshtein at %d runes: %v allocs/op, want 0", stackRunes, allocs)
 	}
 }
