@@ -27,6 +27,7 @@ import (
 	"context"
 	"expvar"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -153,7 +154,9 @@ type Options struct {
 	MinPartialSig int
 	// ConstSimilarity, with Partial, scores conflicting constant cells
 	// with their string similarity instead of 0 — the paper's Sec. 9
-	// extension. See Levenshtein, JaroWinkler, TrigramJaccard.
+	// extension. See Levenshtein, JaroWinkler, TrigramJaccard. It must be
+	// a pure function: a comparison calls it once per ordered pair of
+	// distinct constants and reuses the value.
 	ConstSimilarity func(a, b string) float64
 	// AlignSchemas pads attributes present on only one side with fresh
 	// distinct nulls and adds missing relations as empty, instead of
@@ -424,8 +427,9 @@ func Similarity(left, right *Instance) (float64, error) {
 // originals. When mapping discovery renamed right relations, relNames
 // translates a compared relation name back to the original right name
 // (names absent from a non-nil map were added by discovery or alignment
-// and have no original counterpart).
-func (r *Result) fillExplanation(env *match.Env, lambda float64, origLeft, origRight *Instance, rightPrefix string, relNames map[string]string) {
+// and have no original counterpart). matched is scratch for one flag per
+// tuple; fillExplanation returns it, grown as needed, for reuse.
+func (r *Result) fillExplanation(env *match.Env, lambda float64, origLeft, origRight *Instance, rightPrefix string, relNames map[string]string, matched []bool) []bool {
 	rightRel := func(name string) string {
 		if relNames == nil {
 			return name
@@ -439,7 +443,9 @@ func (r *Result) fillExplanation(env *match.Env, lambda float64, origLeft, origR
 		return orig.Relation(relName).Tuples[idx].ID
 	}
 	// One flag per tuple at its flat position, left tuples then right.
-	matched := make([]bool, env.NumLeftTuples()+env.NumRightTuples())
+	nt := env.NumLeftTuples() + env.NumRightTuples()
+	matched = slices.Grow(matched[:0], nt)[:nt]
+	clear(matched)
 	matchedL, matchedR := matched[:env.NumLeftTuples()], matched[env.NumLeftTuples():]
 	if n := env.NumPairs(); n > 0 {
 		r.Pairs = make([]MatchedPair, 0, n)
@@ -497,4 +503,5 @@ func (r *Result) fillExplanation(env *match.Env, lambda float64, origLeft, origR
 	for _, v := range env.RVars {
 		r.RightValueMapping[unrename(v)] = unrename(env.U.Representative(v))
 	}
+	return matched
 }

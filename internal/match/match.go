@@ -101,6 +101,12 @@ type Env struct {
 	pairs    []Pair
 	leftImg  [][]Ref // flat left index -> matched right refs
 	rightImg [][]Ref // flat right index -> matched left refs
+	// img backs leftImg and rightImg, slab their first entries, and table
+	// is the right side's translation into the joint ID space; Reset
+	// reuses all three.
+	img   [][]Ref
+	slab  []Ref
+	table []model.ValueID
 
 	// Stats counts the match-construction work done through this
 	// environment (see instcmp.ComparisonStats). Counters are plain ints:
@@ -139,7 +145,7 @@ var ErrTooManyAttributes = errors.New("match: relations with more than 64 attrib
 // NewEnv validates the comparison preconditions, interns both instances into
 // the integer-coded representation, and returns a fresh environment with an
 // empty tuple mapping. It is PrepareSide on each side followed by
-// NewEnvPrepared: the one-shot and the prepared path build one environment.
+// Reset: the one-shot and the prepared path build one environment.
 func NewEnv(left, right *model.Instance, mode Mode) (*Env, error) {
 	if !model.SameSchema(left, right) {
 		return nil, ErrSchemaMismatch
@@ -152,21 +158,11 @@ func NewEnv(left, right *model.Instance, mode Mode) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewEnvPrepared(l, r, mode)
-}
-
-// newImages returns empty image tables for nL left and nR right tuples.
-// Both share one backing array, and each image starts as a capacity-1
-// window into one slab of Refs, so a tuple's first pair is stored without
-// allocating; appending a second outgrows the window and moves that image
-// to an array of its own, never into a neighbour's slot.
-func newImages(nL, nR int) (left, right [][]Ref) {
-	img := make([][]Ref, nL+nR)
-	slab := make([]Ref, nL+nR)
-	for i := range img {
-		img[i] = slab[i : i : i+1]
+	e := new(Env)
+	if err := e.Reset(l, r, mode); err != nil {
+		return nil, err
 	}
-	return img[:nL:nL], img[nL:]
+	return e, nil
 }
 
 // Replay extends the match with a sequence of pairs, all-or-nothing: when

@@ -4,7 +4,7 @@ package match
 // Prepare/Compare API. A PreparedSide is everything about ONE instance that
 // a comparison needs and that does not depend on the partner: the relation
 // list, the sorted null inventory, and the instance's self-coded integer
-// rows. Preparing is done once per instance; NewEnvPrepared then assembles a
+// rows. Preparing is done once per instance; Env.Reset then assembles a
 // comparison environment from two prepared sides without re-normalizing or
 // re-interning either one.
 //
@@ -16,11 +16,12 @@ package match
 // int32 rewrite.
 // Each side interns its sorted nulls first, so union-find representatives
 // (and therefore reported value mappings) are deterministic. The one-shot
-// NewEnv prepares both sides and calls NewEnvPrepared, so both paths build
+// NewEnv prepares both sides and calls Env.Reset, so both paths build
 // the same environment by construction.
 
 import (
 	"fmt"
+	"slices"
 
 	"instcmp/internal/model"
 	"instcmp/internal/unify"
@@ -96,57 +97,84 @@ func (p *PreparedSide) WithRelations(inst *model.Instance) *PreparedSide {
 	return &v
 }
 
-// NewEnvPrepared assembles a comparison environment from two prepared
-// sides, reusing their codings: the left side's coded relations are aliased
-// as-is, the right side's are remapped into the joint ID space through one
-// translation table.
-func NewEnvPrepared(l, r *PreparedSide, mode Mode) (*Env, error) {
+// Reset makes the receiver the comparison environment of two prepared
+// sides, with an empty tuple mapping, reusing their codings: the left
+// side's coded relations are aliased as-is, the right side's are remapped
+// into the joint ID space through one translation table. It also reuses
+// every buffer the receiver grew in earlier comparisons (the pair list, the
+// image tables, the flat bases, the joint interner's own values and table,
+// and the unifier's arrays), and costs O(size of this comparison), not
+// O(what those buffers grew to). The zero Env is ready for Reset; Release
+// drops what Reset took hold of.
+func (e *Env) Reset(l, r *PreparedSide, mode Mode) error {
 	if !model.SameSchema(l.Inst, r.Inst) {
-		return nil, ErrSchemaMismatch
+		return ErrSchemaMismatch
 	}
 	for i, v := range r.Vars {
 		if _, shared := l.In.LookupFrom(r.In, model.ValueID(i)); shared {
-			return nil, fmt.Errorf("%w: %v", ErrSharedNulls, v)
+			return fmt.Errorf("%w: %v", ErrSharedNulls, v)
 		}
 	}
-	in := l.In.Extend(r.In.Len())
+	if e.In == nil {
+		e.In, e.U = new(model.Interner), new(unify.Unifier)
+	}
+	in := e.In
+	in.Rebase(l.In, r.In.Len())
 	// Extend the joint space with the right side's values in self-ID order
 	// (sorted nulls first, then constants in scan order), recording the
 	// translation. The right side's stored hashes are reused: no value is
 	// hashed again.
-	table := make([]model.ValueID, r.In.Len())
+	table := slices.Grow(e.table[:0], r.In.Len())[:r.In.Len()]
 	for id := range table {
 		table[id] = in.InternFrom(r.In, model.ValueID(id))
 	}
+	e.table = table
 	// The joint space is complete: size the unifier once.
-	u := unify.NewInterned(in)
-	u.Sync()
+	e.U.Reset(in)
 	for i := range l.Vars {
-		u.AddNullID(model.ValueID(i), unify.Left)
+		e.U.AddNullID(model.ValueID(i), unify.Left)
 	}
 	for i := range r.Vars {
-		u.AddNullID(table[i], unify.Right)
+		e.U.AddNullID(table[i], unify.Right)
 	}
-	e := &Env{
-		Left:  l.Inst,
-		Right: r.Inst,
-		LRels: l.Rels,
-		RRels: r.Rels,
-		LCode: l.Code,
-		LVars: l.Vars,
-		RVars: r.Vars,
-		In:    in,
-		U:     u,
-		Mode:  mode,
+	e.Left, e.Right, e.LRels, e.RRels = l.Inst, r.Inst, l.Rels, r.Rels
+	e.LCode, e.LVars, e.RVars, e.Mode = l.Code, l.Vars, r.Vars, mode
+	e.RCode = e.RCode[:0]
+	for _, c := range r.Code {
+		e.RCode = append(e.RCode, c.Remap(table))
 	}
-	e.RCode = make([]*model.CodedRelation, len(r.Code))
-	for i, c := range r.Code {
-		e.RCode[i] = c.Remap(table)
+	e.lBase, e.nL = flatBases(e.lBase[:0], e.LRels)
+	e.rBase, e.nR = flatBases(e.rBase[:0], e.RRels)
+	// Both sides' images share one backing array, and each starts as a
+	// capacity-1 window into one slab of Refs, so a tuple's first pair is
+	// stored without allocating; appending a second outgrows the window
+	// and moves that image to an array of its own, never into a
+	// neighbour's slot.
+	n := e.nL + e.nR
+	e.img = slices.Grow(e.img[:0], n)[:n]
+	e.slab = slices.Grow(e.slab[:0], n)[:n]
+	for i := range e.img {
+		e.img[i] = e.slab[i : i : i+1]
 	}
-	e.lBase, e.nL = flatBases(e.LRels)
-	e.rBase, e.nR = flatBases(e.RRels)
-	e.leftImg, e.rightImg = newImages(e.nL, e.nR)
-	return e, nil
+	e.leftImg, e.rightImg = e.img[:e.nL:e.nL], e.img[e.nL:]
+	e.pairs = e.pairs[:0]
+	e.Stats = EnvStats{}
+	return nil
+}
+
+// Release drops every reference the environment holds to the compared
+// instances, their prepared sides and their interners, keeping its own
+// buffers for the next Reset: a pooled environment pins nothing it once
+// compared.
+func (e *Env) Release() {
+	clear(e.RCode)
+	e.RCode = e.RCode[:0]
+	e.Left, e.Right, e.LRels, e.RRels = nil, nil, nil, nil
+	e.LCode, e.LVars, e.RVars = nil, nil, nil
+	if e.In != nil {
+		e.In.Rebase(nil, 0)
+		e.U.Reset(nil)
+	}
 }
 
 // ValueOverlap is instcmp.Prepared.ValueOverlap. The self-interner codes
@@ -168,12 +196,12 @@ func (p *PreparedSide) ValueOverlap(q *PreparedSide, maxSample int) float64 {
 	return float64(inter) / float64(np+nq-inter)
 }
 
-// flatBases computes the flattened per-side index bases: flat index of
-// (rel, idx) is base[rel] + idx.
-func flatBases(rels []*model.Relation) (base []int, n int) {
-	base = make([]int, len(rels))
-	for i, rel := range rels {
-		base[i] = n
+// flatBases appends the flattened per-side index bases to base: flat
+// index of (rel, idx) is base[rel] + idx.
+func flatBases(base []int, rels []*model.Relation) ([]int, int) {
+	n := 0
+	for _, rel := range rels {
+		base = append(base, n)
 		n += len(rel.Tuples)
 	}
 	return base, n

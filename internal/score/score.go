@@ -32,7 +32,8 @@ type Params struct {
 	// Lambda is the null-to-constant penalty of Def. 5.5.
 	Lambda float64
 	// ConstSim scores two distinct constants in [0, 1); nil means 0
-	// (the paper's base measure).
+	// (the paper's base measure). It must be a pure function: a Scratch
+	// memoizes it.
 	ConstSim func(a, b string) float64
 }
 
@@ -61,12 +62,20 @@ func CellP(u *unify.Unifier, lv, rv model.Value, p Params) float64 {
 // Equal constants are equal IDs; the interner is consulted for raw strings
 // only on the rare differing-constants-with-ConstSim branch.
 func CellIDP(u *unify.Unifier, lv, rv model.ValueID, p Params) float64 {
+	return cellID(u, lv, rv, p, nil)
+}
+
+// cellID is CellIDP that asks memo, when not nil, for ConstSim values.
+func cellID(u *unify.Unifier, lv, rv model.ValueID, p Params, memo *Scratch) float64 {
 	ln, rn := u.IsNullID(lv), u.IsNullID(rv)
 	if !ln && !rn {
 		if lv == rv {
 			return 1
 		}
 		if p.ConstSim != nil {
+			if memo != nil {
+				return memo.constSim(u, lv, rv, p.ConstSim)
+			}
 			return p.ConstSim(u.Raw(lv), u.Raw(rv))
 		}
 		return 0
@@ -89,11 +98,17 @@ func PairScore(e *match.Env, p match.Pair, lambda float64) float64 {
 
 // PairScoreP is PairScore with full scoring parameters.
 func PairScoreP(e *match.Env, pair match.Pair, p Params) float64 {
+	return pairScore(e, pair, p, nil)
+}
+
+// pairScore is PairScoreP that asks memo, when not nil, for ConstSim
+// values.
+func pairScore(e *match.Env, pair match.Pair, p Params, memo *Scratch) float64 {
 	e.Stats.ScoreEvals++
 	lrow, rrow := e.LeftRow(pair.L), e.RightRow(pair.R)
 	s := 0.0
 	for i := range lrow {
-		s += CellIDP(e.U, lrow[i], rrow[i], p)
+		s += cellID(e.U, lrow[i], rrow[i], p, memo)
 	}
 	return s
 }
@@ -105,31 +120,59 @@ func Match(e *match.Env, lambda float64) float64 {
 	return MatchP(e, Params{Lambda: lambda})
 }
 
-// MatchP is Match with full scoring parameters. Its fresh Scratch is sized
-// once from the tuple counts, in two allocations: the sums share one
-// float64 block, the counts and the first-touch orders (at most one entry
-// per tuple each) one int32 block, so accumulation never grows a slice.
+// MatchP is Match with full scoring parameters.
 func MatchP(e *match.Env, params Params) float64 {
-	nl, nr := e.NumLeftTuples(), e.NumRightTuples()
-	n := nl + nr
-	sums, ints := make([]float64, n), make([]int32, 2*n)
-	s := Scratch{
-		lsum: sums[:nl:nl], rsum: sums[nl:],
-		lcnt: ints[:nl:nl], rcnt: ints[nl:n:n],
-		lorder: ints[n : n : n+nl], rorder: ints[n+nl : n+nl],
-	}
-	return MatchS(e, params, &s)
+	return MatchS(e, params, new(Scratch))
 }
 
 // Scratch holds the per-tuple accumulators of a match score, so a caller
-// that scores many matches of one environment (the exact search scores
-// every leaf) allocates them once. The zero value is ready to use. Every
-// call leaves the accumulators zeroed again, resetting only the entries
-// it touched. A Scratch is not safe for concurrent use.
+// that scores many matches (the exact search scores every leaf, a pooled
+// comparison workspace every comparison) allocates them once. The zero
+// value is ready to use. Every call leaves the accumulators zeroed again,
+// resetting only the entries it touched.
+//
+// A Scratch also memoizes Params.ConstSim, which must be a pure function,
+// by the ordered pair of ValueIDs it scores. IDs mean something only
+// within one environment's ID space, so a caller that scores another
+// environment with a ConstSim must call Forget first. A Scratch is not
+// safe for concurrent use.
 type Scratch struct {
 	lsum, rsum     []float64
 	lcnt, rcnt     []int32
 	lorder, rorder []int32
+	// sims maps uint64(lv)<<32 | rv to ConstSim's value for the pair;
+	// simKeys lists its keys, so Forget costs what was memoized.
+	sims    map[uint64]float64
+	simKeys []uint64
+}
+
+// constSim returns sim of the two constants' texts, calling it once per
+// ordered pair of IDs.
+func (s *Scratch) constSim(u *unify.Unifier, lv, rv model.ValueID, sim func(a, b string) float64) float64 {
+	k := uint64(uint32(lv))<<32 | uint64(uint32(rv))
+	if v, ok := s.sims[k]; ok {
+		return v
+	}
+	if s.sims == nil {
+		s.sims = map[uint64]float64{}
+	}
+	v := sim(u.Raw(lv), u.Raw(rv))
+	s.sims[k] = v
+	s.simKeys = append(s.simKeys, k)
+	return v
+}
+
+// PairScore is PairScoreP asking the memo for ConstSim values.
+func (s *Scratch) PairScore(e *match.Env, pair match.Pair, p Params) float64 {
+	return pairScore(e, pair, p, s)
+}
+
+// Forget empties the ConstSim memo, in time proportional to its entries.
+func (s *Scratch) Forget() {
+	for _, k := range s.simKeys {
+		delete(s.sims, k)
+	}
+	s.simKeys = s.simKeys[:0]
 }
 
 // MatchS is MatchP accumulating in s. The fold order is MatchP's, so the
@@ -158,7 +201,7 @@ func (s *Scratch) tupleScores(e *match.Env, params Params) (left, right float64)
 		s.rsum, s.rcnt = make([]float64, nr), make([]int32, nr)
 	}
 	for _, p := range e.Pairs() {
-		ps := PairScoreP(e, p, params)
+		ps := pairScore(e, p, params, s)
 		fl, fr := e.FlatL(p.L), e.FlatR(p.R)
 		if s.lcnt[fl] == 0 {
 			s.lorder = append(s.lorder, int32(fl))

@@ -174,11 +174,13 @@ func (s *runner) buildSigMap(crel *model.CodedRelation) (*sigTable, []uint64) {
 	partial, minSig := s.opt.Partial, max(s.opt.MinPartialSig, 1)
 	// The default mode records exactly one item per row.
 	items := slices.Grow(s.items[:0], rows)
-	s.patterns = s.patterns[:0]
 	if s.seen == nil {
 		s.seen = map[uint64]bool{}
 	}
-	clear(s.seen)
+	for _, pm := range s.patterns {
+		delete(s.seen, pm)
+	}
+	s.patterns = s.patterns[:0]
 	hashed := 0
 scan:
 	for ti := 0; ti < rows; ti++ {
@@ -236,11 +238,10 @@ func (s *runner) pass(ri int, mapLeft bool) {
 		dir = 1
 	}
 	var record *candBlock
-	if s.replay != nil {
+	if len(s.replay) > 0 {
 		record = &s.replay[2*ri+dir]
 		if !s.perfectOnly {
 			s.commitCands(ri, !mapLeft, *record, func(i int) int { return i })
-			*record = candBlock{}
 			return
 		}
 	}
@@ -248,7 +249,8 @@ func (s *runner) pass(ri int, mapLeft bool) {
 	rows := scanCode.Rows()
 	if record != nil {
 		// Most scan rows have one candidate; size for that up front.
-		*record = candBlock{ncands: make([]int32, 0, rows), cands: make([]int32, 0, rows)}
+		record.ncands = slices.Grow(record.ncands[:0], rows)
+		record.cands = slices.Grow(record.cands[:0], rows)
 	}
 	nBlocks := (rows + scanBlockRows - 1) / scanBlockRows
 	ctx := s.ctx
@@ -287,7 +289,7 @@ func (s *runner) pass(ri int, mapLeft bool) {
 	}
 	s.scanBlocks += runBlocks(s.fanOut(rows), nBlocks, &s.scanSpare, noState, produce, commit)
 	if record != nil && s.canceled() {
-		*record = candBlock{}
+		record.ncands, record.cands = record.ncands[:0], record.cands[:0]
 	}
 }
 
@@ -376,11 +378,11 @@ func (s *runner) rescue(ri int) {
 
 	// unmatched lists a side's unmatched rows with their ground-mask
 	// hashes, from which each mask's sub-signature hash is derived.
-	unmatched := func(crel *model.CodedRelation, left bool) []sigItem {
-		var out []sigItem
+	unmatched := func(out []sigItem, crel *model.CodedRelation, left bool) []sigItem {
+		out = out[:0]
 		for ti := 0; ti < crel.Rows(); ti++ {
 			if ti%cancelPollInterval == 0 && s.canceled() {
-				return nil
+				return out[:0]
 			}
 			ref := match.Ref{Rel: ri, Idx: ti}
 			var deg int
@@ -395,39 +397,55 @@ func (s *runner) rescue(ri int) {
 		}
 		return out
 	}
-	leftUn, rightUn := unmatched(lcode, true), unmatched(rcode, false)
+	s.leftUn, s.rightUn = unmatched(s.leftUn, lcode, true), unmatched(s.rightUn, rcode, false)
+	leftUn, rightUn := s.leftUn, s.rightUn
 	if len(leftUn) == 0 || len(rightUn) == 0 {
 		return
 	}
 
-	distinctMasks := func(crel *model.CodedRelation, un []sigItem) []uint64 {
-		seen := map[uint64]bool{}
-		var out []uint64
-		for _, u := range un {
-			m := crel.Masks[u.ti]
-			if !seen[m] {
-				seen[m] = true
-				out = append(out, m)
-			}
+	// distinct appends m to out on its first sight; forget empties the
+	// dedup set again, at the cost of what it holds.
+	if s.maskSeen == nil {
+		s.maskSeen = map[uint64]bool{}
+	}
+	distinct := func(out []uint64, m uint64) []uint64 {
+		if !s.maskSeen[m] {
+			s.maskSeen[m] = true
+			out = append(out, m)
 		}
 		return out
 	}
-	lMasks, rMasks := distinctMasks(lcode, leftUn), distinctMasks(rcode, rightUn)
-	seen := map[uint64]bool{}
-	var masks []uint64
-	for _, gl := range lMasks {
+	forget := func(ms []uint64) {
+		for _, m := range ms {
+			delete(s.maskSeen, m)
+		}
+	}
+	groundMasks := func(out []uint64, crel *model.CodedRelation, un []sigItem) []uint64 {
+		out = out[:0]
+		for _, u := range un {
+			out = distinct(out, crel.Masks[u.ti])
+		}
+		forget(out)
+		return out
+	}
+	s.lMasks, s.rMasks = groundMasks(s.lMasks, lcode, leftUn), groundMasks(s.rMasks, rcode, rightUn)
+	masks := s.masks[:0]
+	for _, gl := range s.lMasks {
 		// The mask product is quadratic in distinct null patterns; bail
 		// out between left masks so a cancel is answered promptly.
 		if s.canceled() {
-			return
+			break
 		}
-		for _, gr := range rMasks {
-			m := gl & gr
-			if m != 0 && !seen[m] {
-				seen[m] = true
-				masks = append(masks, m)
+		for _, gr := range s.rMasks {
+			if m := gl & gr; m != 0 {
+				masks = distinct(masks, m)
 			}
 		}
+	}
+	forget(masks)
+	s.masks = masks
+	if s.canceled() {
+		return
 	}
 	sortPatterns(masks)
 	if len(masks) > maxRescueMasks {
@@ -482,9 +500,9 @@ func (s *runner) rescue(ri int) {
 	}
 	// The passes' signature table is dead until the next pass refills it,
 	// so the rescue's first payload reuses its buffers and hands them back.
-	spare := rescueTask{table: s.sigs}
-	s.rescueTasks += runBlocks(s.fanOut(len(leftUn)+len(rightUn)), len(masks), &spare, noState, produce, commit)
-	s.sigs = spare.table
+	s.rescueSpare.table = s.sigs
+	s.rescueTasks += runBlocks(s.fanOut(len(leftUn)+len(rightUn)), len(masks), &s.rescueSpare, noState, produce, commit)
+	s.sigs, s.rescueSpare.table = s.rescueSpare.table, sigTable{}
 }
 
 // complete runs the final step of Alg. 3 (lines 5-13): candidate pairs from
@@ -496,7 +514,6 @@ func (s *runner) rescue(ri int) {
 // right-saturation filter, tryPair, left-saturation early-out) in left
 // order.
 func (s *runner) complete() {
-	var spare candBlock
 	for ri := range s.env.LRels {
 		if s.canceled() {
 			return
@@ -504,7 +521,7 @@ func (s *runner) complete() {
 		lcode, rcode := s.env.LCode[ri], s.env.RCode[ri]
 		// Injective sides only need their unmatched tuples considered;
 		// non-injective sides stay fully in play (Cases 1-4, Sec. 6.2).
-		var leftIdxs, rightIdxs []int
+		leftIdxs, rightIdxs := s.leftIdxs[:0], s.rightIdxs[:0]
 		for ti := 0; ti < lcode.Rows(); ti++ {
 			if !s.leftSaturated(match.Ref{Rel: ri, Idx: ti}) {
 				leftIdxs = append(leftIdxs, ti)
@@ -515,12 +532,24 @@ func (s *runner) complete() {
 				rightIdxs = append(rightIdxs, ti)
 			}
 		}
+		s.leftIdxs, s.rightIdxs = leftIdxs, rightIdxs
 		if len(leftIdxs) == 0 || len(rightIdxs) == 0 {
 			continue
 		}
-		ix := compat.NewCodedIndex(rcode, rightIdxs, s.env.In)
+		ix := &s.index
+		ix.Reset(rcode, rightIdxs, s.env.In)
 		nBlocks := (len(leftIdxs) + scanBlockRows - 1) / scanBlockRows
 		ctx := s.ctx
+		// The first producer to start probes with the Scratch's prober,
+		// any other with a fresh one.
+		var claimed atomic.Bool
+		newProber := func() *compat.Prober {
+			if claimed.Swap(true) {
+				return ix.NewProber()
+			}
+			s.prober.Reset(ix)
+			return &s.prober
+		}
 		produce := func(p *compat.Prober, bb candBlock, b int) candBlock {
 			start := b * scanBlockRows
 			end := min(start+scanBlockRows, len(leftIdxs))
@@ -544,6 +573,6 @@ func (s *runner) complete() {
 			base := b * scanBlockRows
 			s.commitCands(ri, true, bb, func(i int) int { return leftIdxs[base+i] })
 		}
-		s.completeBlocks += runBlocks(s.fanOut(len(leftIdxs)), nBlocks, &spare, ix.NewProber, produce, commit)
+		s.completeBlocks += runBlocks(s.fanOut(len(leftIdxs)), nBlocks, &s.completeSpare, newProber, produce, commit)
 	}
 }

@@ -71,8 +71,8 @@ type trailEntry struct {
 }
 
 // Unifier is a union-find over interned values with constant-conflict
-// detection and an undo trail. The zero value is not usable; call New or
-// NewInterned.
+// detection and an undo trail. The zero value is usable only after Reset;
+// New returns one with a private interner.
 type Unifier struct {
 	in *model.Interner
 
@@ -90,12 +90,22 @@ type Unifier struct {
 }
 
 // New returns an empty unifier with its own private interner.
-func New() *Unifier { return NewInterned(model.NewInterner(0)) }
+func New() *Unifier { return &Unifier{in: model.NewInterner(0)} }
 
-// NewInterned returns an empty unifier over a shared interner, so that IDs
-// handed to MergeID et al. agree with IDs used elsewhere in the comparison.
-func NewInterned(in *model.Interner) *Unifier {
-	return &Unifier{in: in}
+// Reset empties the unifier and binds it to a shared interner, so that IDs
+// handed to MergeID et al. agree with IDs used elsewhere in the
+// comparison. It keeps the arrays and the trail for reuse and sizes them
+// to the interner at once, so read-only queries (SameClassID,
+// SideCountID, ...) grow nothing, at a cost in proportion to in.Len(), not
+// to what they grew to before. Reset(nil) drops the interner, so a pooled
+// unifier pins nothing.
+func (u *Unifier) Reset(in *model.Interner) {
+	u.in = in
+	u.parent, u.size, u.nl, u.nr = u.parent[:0], u.size[:0], u.nl[:0], u.nr[:0]
+	u.cls, u.side, u.trail = u.cls[:0], u.side[:0], u.trail[:0]
+	if in != nil {
+		u.ensure()
+	}
 }
 
 // Interner returns the unifier's interner.
@@ -128,13 +138,6 @@ func (u *Unifier) ensure() {
 		}
 	}
 }
-
-// Sync eagerly grows the per-ID arrays to cover every interned value, so
-// that subsequent read-only queries (SameClassID, SideCountID, ...) perform
-// no lazy growth. Parallel scoring fans concurrent readers out over one
-// unifier; after a Sync — and with no interning or merging in between —
-// those reads are write-free and race-free.
-func (u *Unifier) Sync() { u.ensure() }
 
 // AddNull registers a labeled null as belonging to the given side. It is
 // idempotent; registering the same null with two different sides panics
