@@ -31,10 +31,17 @@ func extSequence() []Value {
 	return seq
 }
 
+// extend returns a fresh extension of base: an interner rebased onto it.
+func extend(base *Interner, hint int) *Interner {
+	ext := new(Interner)
+	ext.Rebase(base, hint)
+	return ext
+}
+
 func TestInternerExtendLeavesBaseUnchanged(t *testing.T) {
 	base := frozenBase()
 	n := base.Len()
-	ext := base.Extend(8)
+	ext := extend(base, 8)
 	for _, v := range extSequence() {
 		ext.Intern(v)
 	}
@@ -60,7 +67,7 @@ func TestInternerExtendLeavesBaseUnchanged(t *testing.T) {
 // used to give).
 func TestInternerExtendMatchesContinuedInterning(t *testing.T) {
 	for _, hint := range []int{0, 3, 100} {
-		ext := frozenBase().Extend(hint)
+		ext := extend(frozenBase(), hint)
 		ref := frozenBase()
 		for _, v := range extSequence() {
 			if got, want := ext.Intern(v), ref.Intern(v); got != want {
@@ -96,7 +103,7 @@ func TestInternerExtendConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for round := 0; round < 20; round++ {
-				ext := base.Extend(len(seq))
+				ext := extend(base, len(seq))
 				got := make([]ValueID, len(seq))
 				for i, v := range seq {
 					got[i] = ext.Intern(v)
@@ -120,7 +127,7 @@ func TestInternerExtendConcurrent(t *testing.T) {
 func TestInternerExtendDecodesBothLevels(t *testing.T) {
 	base := frozenBase()
 	n := ValueID(base.Len())
-	a, b := base.Extend(1), base.Extend(0)
+	a, b := extend(base, 1), extend(base, 0)
 	if id := a.Intern(Const("a-only")); id != n {
 		t.Fatalf("first new ID %d, want %d", id, n)
 	}
@@ -147,17 +154,50 @@ func TestInternerExtendDecodesBothLevels(t *testing.T) {
 	}
 }
 
+// TestInternerRebaseReusesUsedInterner rebases an interner that already
+// extended another base and interned values of its own: it must assign the
+// IDs a fresh extension assigns, and keep nothing of its earlier base.
+func TestInternerRebaseReusesUsedInterner(t *testing.T) {
+	other := NewInterner(0)
+	for i := 0; i < 50; i++ {
+		other.Intern(Constf("other%d", i))
+	}
+	used := extend(other, 4)
+	for i := 0; i < 40; i++ {
+		used.Intern(Nullf("own%d", i))
+	}
+	used.Rebase(frozenBase(), 3)
+	ref := extend(frozenBase(), 3)
+	if used.Len() != ref.Len() {
+		t.Fatalf("rebased Len %d, fresh extension %d", used.Len(), ref.Len())
+	}
+	for _, v := range append(extSequence(), Constf("other%d", 7), Nullf("own%d", 3)) {
+		if got, want := used.Intern(v), ref.Intern(v); got != want {
+			t.Fatalf("rebased Intern(%v) = %d, fresh extension %d", v, got, want)
+		}
+	}
+	for id := ValueID(0); int(id) < ref.Len(); id++ {
+		if used.ValueOf(id) != ref.ValueOf(id) || used.IsNull(id) != ref.IsNull(id) {
+			t.Errorf("ID %d decodes to %v, fresh extension %v", id, used.ValueOf(id), ref.ValueOf(id))
+		}
+	}
+	used.Rebase(nil, 0)
+	if used.Len() != 0 {
+		t.Errorf("Rebase(nil, 0) left %d values", used.Len())
+	}
+}
+
 // TestInternerExtendRejectsExtension: an extension does not own its base
 // map, so extending it again would drop the root's values and hand out
-// wrong IDs; Extend must refuse.
+// wrong IDs; Rebase must refuse.
 func TestInternerExtendRejectsExtension(t *testing.T) {
-	ext := frozenBase().Extend(0)
+	ext := extend(frozenBase(), 0)
 	defer func() {
 		if recover() == nil {
-			t.Error("Extend on an extended interner did not panic")
+			t.Error("Rebase onto an extended interner did not panic")
 		}
 	}()
-	ext.Extend(0)
+	new(Interner).Rebase(ext, 0)
 }
 
 // mapInterner is the map-backed interner the flat table replaced, kept as
@@ -280,7 +320,7 @@ func TestInternerFromMatchesIntern(t *testing.T) {
 		for _, v := range srcSeq {
 			src.Intern(v)
 		}
-		byValue, byHash := base.Extend(hint), base.Extend(hint)
+		byValue, byHash := extend(base, hint), extend(base, hint)
 		for id := ValueID(0); int(id) < src.Len(); id++ {
 			got, gotOK := byHash.LookupFrom(src, id)
 			want, wantOK := byValue.Lookup(src.ValueOf(id))
